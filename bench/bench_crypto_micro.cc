@@ -86,32 +86,6 @@ void BM_StateRootHash(benchmark::State& state) {
 }
 BENCHMARK(BM_StateRootHash);
 
-void BM_RsaSignUncachedMontgomery(benchmark::State& state) {
-  // The pre-optimization path: rebuild the Montgomery context inside
-  // every ModExp. Compare against BM_RsaSign (cached contexts).
-  Prng rng(31);
-  RsaKeypair kp = RsaKeypair::Generate(rng, static_cast<size_t>(state.range(0)));
-  kp.priv.mont_p.reset();
-  kp.priv.mont_q.reset();
-  Bytes msg = rng.RandomBytes(64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RsaSign(kp.priv, msg));
-  }
-}
-BENCHMARK(BM_RsaSignUncachedMontgomery)->Arg(768)->Arg(2048)->Unit(benchmark::kMicrosecond);
-
-void BM_MontgomeryCtxBuild(benchmark::State& state) {
-  // What the per-key cache saves on every exponentiation: one context
-  // construction (a long division for R^2 mod m).
-  Prng rng(32);
-  RsaKeypair kp = RsaKeypair::Generate(rng, static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    Montgomery ctx(kp.pub.n);
-    benchmark::DoNotOptimize(&ctx);
-  }
-}
-BENCHMARK(BM_MontgomeryCtxBuild)->Arg(768)->Arg(2048)->Unit(benchmark::kMicrosecond);
-
 // Per-entry cost of committing a k-entry window with one signature:
 // k-1 chain appends plus one RSA sign, amortized. The record/send hot
 // path in batched mode pays exactly this.
@@ -182,7 +156,7 @@ void EmitJson() {
   Bytes content = rng.RandomBytes(48);
 
   {
-    // One RSA-768 sign, cached Montgomery contexts.
+    // One RSA-768 sign and one verify of it.
     Bytes msg = rng.RandomBytes(64);
     constexpr int kIters = 50;
     Bytes sig = signer.Sign(msg);  // Warm.
@@ -191,6 +165,11 @@ void EmitJson() {
       sig = signer.Sign(msg);
     }
     json.Add("rsa768_sign", t.ElapsedSeconds() * 1e6 / kIters, "us");
+    t.Reset();
+    for (int i = 0; i < kIters; i++) {
+      benchmark::DoNotOptimize(registry.Verify("bench", msg, sig));
+    }
+    json.Add("rsa768_verify", t.ElapsedSeconds() * 1e6 / kIters, "us");
   }
   for (uint64_t k : {1u, 8u, 32u}) {
     TamperEvidentLog log("bench");
@@ -205,18 +184,6 @@ void EmitJson() {
     }
     json.Add("sign_batch_k" + std::to_string(k) + "_per_entry",
              t.ElapsedSeconds() * 1e6 / (kWindows * static_cast<double>(k)), "us");
-  }
-  {
-    // The cost the per-key cache removes from every ModExp.
-    Prng r2(42);
-    RsaKeypair kp = RsaKeypair::Generate(r2, 768);
-    constexpr int kIters = 200;
-    WallTimer t;
-    for (int i = 0; i < kIters; i++) {
-      Montgomery ctx(kp.pub.n);
-      (void)ctx;
-    }
-    json.Add("montgomery_ctx_build_768", t.ElapsedSeconds() * 1e6 / kIters, "us");
   }
   json.Write();
 }

@@ -35,7 +35,7 @@ void Run() {
     const Avmm& p = game.player(0);
     double exec = p.exec_seconds();
     double rec = p.record_seconds();
-    double crypto = p.crypto_seconds() + game.server().crypto_seconds() * 0;  // Player only.
+    double crypto = p.crypto_seconds();
     double snap = p.snapshot_seconds();
     double overhead = rec + crypto + snap;
     double share = 100.0 * overhead / (exec + overhead);

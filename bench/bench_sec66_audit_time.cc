@@ -79,12 +79,29 @@ void Run(BenchJson& json) {
   std::printf("  audit result: %s\n", audit.Describe().c_str());
   std::printf("  cross-check vs AuditOutcome timers: syntactic %.3f/%.3f, semantic %.3f/%.3f\n",
               syn_s, audit.syntactic_seconds, replay_s, audit.semantic_seconds);
-  std::printf("  semantic / syntactic ratio: %.0fx (paper: ~287x)\n",
-              replay_s / std::max(syn_s, 1e-9));
+  const double sem_syn_ratio = replay_s / std::max(syn_s, 1e-9);
+  const double replay_record_ratio = replay_s / std::max(record_seconds, 1e-9);
+  std::printf("  semantic / syntactic ratio: %.2fx (paper: ~287x)\n", sem_syn_ratio);
   std::printf("  replay / original-recording ratio: %.2fx (paper: ~0.89x, replay skips idle)\n",
-              replay_s / record_seconds);
-  std::printf("  shape check vs paper: syntactic is orders of magnitude cheaper than\n");
-  std::printf("  semantic; replay cost is on the order of the original execution.\n");
+              replay_record_ratio);
+  // The paper's two shape claims, checked rather than asserted. "Orders
+  // of magnitude" means at least 100x; "on the order of" means within 10x.
+  const bool syn_much_cheaper = sem_syn_ratio >= 100.0;
+  const bool replay_near_record = replay_record_ratio >= 0.1 && replay_record_ratio <= 10.0;
+  if (syn_much_cheaper) {
+    std::printf("  shape check vs paper: syntactic is orders of magnitude cheaper than\n");
+    std::printf("  semantic: holds (%.0fx).\n", sem_syn_ratio);
+  } else {
+    std::printf("  shape check vs paper: KNOWN DEVIATION: syntactic is not orders of\n");
+    std::printf("  magnitude cheaper than semantic (ratio %.2fx, paper ~287x). The replay\n",
+                sem_syn_ratio);
+    std::printf("  JIT makes the semantic check far cheaper than the paper's replay, while\n");
+    std::printf("  the syntactic check still hashes every entry and verifies every\n");
+    std::printf("  authenticator.\n");
+  }
+  std::printf("  shape check vs paper: replay cost is on the order of the original\n");
+  std::printf("  execution: %s (%.2fx).\n", replay_near_record ? "holds" : "KNOWN DEVIATION",
+              replay_record_ratio);
   std::printf("  (note: recording here drives 4 machines, replay just 1, so the\n");
   std::printf("   replay/record ratio lands below 1 for that reason too.)\n");
 
@@ -93,7 +110,8 @@ void Run(BenchJson& json) {
   json.Add("phase_syntactic_s", syn_s, "s");
   json.Add("phase_rsa_verify_s", rsa_s, "s");
   json.Add("phase_replay_s", replay_s, "s");
-  json.Add("semantic_syntactic_ratio", replay_s / std::max(syn_s, 1e-9), "x");
+  json.Add("semantic_syntactic_ratio", sem_syn_ratio, "x");
+  json.Add("shape_syntactic_orders_cheaper", syn_much_cheaper ? 1 : 0, "bool");
 
   // The semantic check re-run per replay tier: the JIT (the default
   // AuditFull path above) vs the decoded-cache interpreter. The verdict

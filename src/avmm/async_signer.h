@@ -11,9 +11,8 @@
 // enqueued commitment is available from Drain().
 //
 // Thread-safety: Sign runs on the worker while the owning thread keeps
-// appending/verifying; this is safe because the signer's key material
-// (including the cached Montgomery contexts) is immutable after
-// construction.
+// appending/verifying; this is safe because the signer's key material is
+// immutable after construction.
 #ifndef SRC_AVMM_ASYNC_SIGNER_H_
 #define SRC_AVMM_ASYNC_SIGNER_H_
 

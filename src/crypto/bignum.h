@@ -1,8 +1,12 @@
-// Arbitrary-precision unsigned integers, sized for RSA-768..RSA-2048.
-// Little-endian 32-bit limbs, always normalized (no high zero limbs).
+// Arbitrary-precision unsigned integers for RSA key generation, padding
+// and CRT recombination. Bignum keeps little-endian 32-bit limbs, always
+// normalized (no high zero limbs), and does its own reduction by long
+// division; modular exponentiation over odd moduli up to 2048 bits runs
+// in the 64-bit-limb Montgomery kernel below instead.
 #ifndef SRC_CRYPTO_BIGNUM_H_
 #define SRC_CRYPTO_BIGNUM_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -55,7 +59,8 @@ class Bignum {
 
   // (a * b) mod m.
   static Bignum MulMod(const Bignum& a, const Bignum& b, const Bignum& m);
-  // (base ^ exp) mod m. m must be > 0.
+  // (base ^ exp) mod m. m must be > 0. Odd moduli Montgomery supports go
+  // through it; even and wider moduli square-and-multiply with division.
   static Bignum PowMod(const Bignum& base, const Bignum& exp, const Bignum& m);
   // gcd(a, b).
   static Bignum Gcd(Bignum a, Bignum b);
@@ -83,51 +88,37 @@ class Bignum {
   std::vector<uint32_t> limbs_;
 };
 
-// Montgomery arithmetic context for an odd multi-limb modulus.
-// Exponentiation via REDC avoids one long division per modular
-// multiplication, which is the difference between RSA signing being a
-// per-packet cost the AVMM can afford and one it cannot (§6.8).
+// Montgomery arithmetic for an odd modulus of up to 2048 bits: the engine
+// under every RSA sign and verify, and so under the per-message cost of
+// accountability (§6.8).
 //
-// Building a context costs one long division (for R^2 mod m), so hot
-// paths construct it once per key and reuse it across ModExp calls
-// (RsaPrivateKey/RsaPublicKey cache one per modulus). A constructed
-// context is immutable: concurrent PowMod calls on the same context are
-// safe, which is what lets the async signing pipeline share a key with
-// the caller thread.
+// The kernel works on stack-resident residues of N 64-bit limbs, with
+// one instantiation per N from 1 to kMaxLimbs: 128-bit limb products, a
+// dedicated squaring, and a branch-free final subtraction. Neither the
+// multiply nor the exponentiation loops allocate. A context holds only
+// the modulus and -m^-1 mod 2^64, so building one is cheap enough to do
+// per exponentiation; it is immutable, so concurrent PowMod calls on one
+// context are safe.
 class Montgomery {
  public:
-  // m must be odd and at least two limbs (all RSA moduli qualify).
+  static constexpr size_t kMaxLimbs = 32;  // 2048-bit moduli.
+
+  // True when m is odd, greater than 1 and at most 64 * kMaxLimbs bits.
+  static bool Supports(const Bignum& m);
+  // Throws std::invalid_argument unless Supports(m).
   explicit Montgomery(const Bignum& m);
 
-  using Residue = std::vector<uint32_t>;  // Exactly limb_count() limbs.
-
-  Residue ToResidue(const Bignum& a) const;
-  // a -> aR mod m.
-  Residue Enter(const Residue& a) const;
-  // aR -> a mod m.
-  Bignum Leave(const Residue& a) const;
-  // Montgomery product: REDC(a * b).
-  Residue Mul(const Residue& a, const Residue& b) const;
-
-  // (base ^ exp) mod m with 4-bit fixed-window exponentiation:
-  // ~bits/4 multiplies instead of the ~bits/2 of square-and-multiply,
-  // on top of the REDC savings.
+  // (base ^ exp) mod m, for any base. Exponents longer than 64 bits (the
+  // private CRT exponents) use a 4-bit fixed window, ~bits/4 multiplies on
+  // top of the squarings; shorter ones (public exponents such as 65537)
+  // use plain square-and-multiply, which skips building the window table.
   Bignum PowMod(const Bignum& base, const Bignum& exp) const;
 
-  const Residue& one() const { return one_; }
-  size_t limb_count() const { return n_; }
-  const Bignum& modulus() const { return modulus_; }
-
  private:
-  bool LessThanM(const Residue& a) const;
-  void SubM(Residue& a) const;
-
   Bignum modulus_;
-  std::vector<uint32_t> m_;
-  size_t n_ = 0;
-  uint32_t minv_ = 0;
-  Residue r2_;
-  Residue one_;
+  size_t n_ = 0;                         // Limb count N of m.
+  uint64_t minv_ = 0;                    // -m^-1 mod 2^64.
+  std::array<uint64_t, kMaxLimbs> m_{};  // m as 64-bit limbs.
 };
 
 }  // namespace avm

@@ -45,9 +45,9 @@ class Signer {
   Bytes Sign(ByteView msg) const;
   // Signs an already-computed SHA-256 digest; identical output to
   // Sign(msg) when digest == Sha256::Digest(msg). Lets hot paths stream
-  // the payload through one incremental hasher. Thread-safe: the key's
-  // Montgomery contexts are prebuilt, so the async signing pipeline may
-  // call this concurrently with the owning thread.
+  // the payload through one incremental hasher. Thread-safe: the key is
+  // immutable and signing keeps its state on the stack, so the async
+  // signing pipeline may call this concurrently with the owning thread.
   Bytes SignDigest(const Hash256& digest) const;
 
   // Serialized public identity (scheme + key) for the registry.

@@ -31,37 +31,10 @@ Bytes EncodeDigest(const Hash256& digest, size_t em_len) {
   return em;
 }
 
-// PowMod through the cached context when present; hand-constructed
-// keys without one take the build-per-call path transparently.
-Bignum CachedPowMod(const std::shared_ptr<const Montgomery>& ctx, const Bignum& base,
-                    const Bignum& exp, const Bignum& m) {
-  if (ctx != nullptr) {
-    return ctx->PowMod(base, exp);
-  }
-  return Bignum::PowMod(base, exp, m);
-}
-
 }  // namespace
 
-void RsaPublicKey::WarmContexts() {
-  if (mont_n == nullptr && n.IsOdd() && n.limbs().size() >= 2) {
-    mont_n = std::make_shared<const Montgomery>(n);
-  }
-}
-
-void RsaPrivateKey::WarmContexts() {
-  if (mont_p == nullptr && p.IsOdd() && p.limbs().size() >= 2) {
-    mont_p = std::make_shared<const Montgomery>(p);
-  }
-  if (mont_q == nullptr && q.IsOdd() && q.limbs().size() >= 2) {
-    mont_q = std::make_shared<const Montgomery>(q);
-  }
-}
-
 RsaPublicKey RsaPrivateKey::PublicPart() const {
-  RsaPublicKey pub{n, e, nullptr};
-  pub.WarmContexts();
-  return pub;
+  return RsaPublicKey{n, e};
 }
 
 Bytes RsaPublicKey::Serialize() const {
@@ -77,7 +50,6 @@ RsaPublicKey RsaPublicKey::Deserialize(ByteView data) {
   key.n = Bignum::FromBytes(r.Blob());
   key.e = Bignum::FromBytes(r.Blob());
   r.ExpectEnd();
-  key.WarmContexts();
   return key;
 }
 
@@ -120,7 +92,6 @@ RsaKeypair RsaKeypair::Generate(Prng& rng, size_t bits) {
     kp.priv.dp = Bignum::Mod(d, p1);
     kp.priv.dq = Bignum::Mod(d, q1);
     kp.priv.qinv = Bignum::InvMod(q, p);
-    kp.priv.WarmContexts();
     kp.pub = kp.priv.PublicPart();
     return kp;
   }
@@ -131,8 +102,8 @@ Bytes RsaSignDigest(const RsaPrivateKey& key, const Hash256& digest) {
   Bytes em = EncodeDigest(digest, k);
   Bignum m = Bignum::FromBytes(em);
   // CRT: m1 = m^dp mod p, m2 = m^dq mod q, h = qinv (m1 - m2) mod p.
-  Bignum m1 = CachedPowMod(key.mont_p, m, key.dp, key.p);
-  Bignum m2 = CachedPowMod(key.mont_q, m, key.dq, key.q);
+  Bignum m1 = Bignum::PowMod(m, key.dp, key.p);
+  Bignum m2 = Bignum::PowMod(m, key.dq, key.q);
   Bignum diff;
   if (Bignum::Cmp(m1, m2) >= 0) {
     diff = Bignum::Sub(m1, m2);
@@ -157,7 +128,7 @@ bool RsaVerifyDigest(const RsaPublicKey& key, const Hash256& digest, ByteView si
   if (Bignum::Cmp(s, key.n) >= 0) {
     return false;
   }
-  Bignum m = CachedPowMod(key.mont_n, s, key.e, key.n);
+  Bignum m = Bignum::PowMod(s, key.e, key.n);
   Bytes em;
   try {
     em = m.ToBytes(k);

@@ -4,8 +4,6 @@
 #ifndef SRC_CRYPTO_RSA_H_
 #define SRC_CRYPTO_RSA_H_
 
-#include <memory>
-
 #include "src/crypto/bignum.h"
 #include "src/crypto/sha256.h"
 #include "src/util/bytes.h"
@@ -16,16 +14,9 @@ namespace avm {
 struct RsaPublicKey {
   Bignum n;
   Bignum e;
-  // Cached Montgomery context for n, shared by copies of the key, so
-  // every Verify does not rebuild it (one long division each). Built by
-  // Generate/Deserialize; WarmContexts() fills it for hand-built keys.
-  // Immutable once built, so concurrent verifies are safe.
-  std::shared_ptr<const Montgomery> mont_n;
 
   // Modulus size in bytes (== signature size).
   size_t ByteLength() const { return (n.BitLength() + 7) / 8; }
-
-  void WarmContexts();
 
   Bytes Serialize() const;
   static RsaPublicKey Deserialize(ByteView data);
@@ -40,10 +31,6 @@ struct RsaPrivateKey {
   Bignum d;
   // CRT components for ~4x faster signing.
   Bignum p, q, dp, dq, qinv;
-  // Cached Montgomery contexts for the CRT moduli (see RsaPublicKey).
-  std::shared_ptr<const Montgomery> mont_p, mont_q;
-
-  void WarmContexts();
 
   RsaPublicKey PublicPart() const;
 };
@@ -53,8 +40,7 @@ struct RsaKeypair {
   RsaPrivateKey priv;
 
   // Generates an RSA keypair with an n of exactly `bits` bits. Deterministic
-  // given the PRNG state (useful for reproducible scenarios). The keys come
-  // back with their Montgomery contexts warmed.
+  // given the PRNG state (useful for reproducible scenarios).
   static RsaKeypair Generate(Prng& rng, size_t bits);
 };
 

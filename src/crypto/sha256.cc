@@ -280,31 +280,21 @@ Hash256 Sha256::Finish() {
     throw std::logic_error("Sha256: Finish called twice");
   }
   finished_ = true;
-  uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, 64-bit big-endian length.
-  uint8_t pad[72];
-  size_t pad_len = 0;
-  pad[pad_len++] = 0x80;
-  size_t rem = (buf_len_ + 1) % 64;
-  size_t zeros = (rem <= 56) ? (56 - rem) : (120 - rem);
-  for (size_t i = 0; i < zeros; i++) {
-    pad[pad_len++] = 0;
+  // Padding, written in place: 0x80, zeros up to byte 56 of a block,
+  // then the 64-bit big-endian bit length. If the 0x80 leaves no room
+  // for the length, the zeros run into a second block.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
+    compress_(state_, buf_, 1);
+    buf_len_ = 0;
   }
-  for (int i = 7; i >= 0; i--) {
-    pad[pad_len++] = static_cast<uint8_t>(bit_len >> (8 * i));
+  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
+  const uint64_t bit_len = total_len_ * 8;
+  for (int i = 0; i < 8; i++) {
+    buf_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Feed padding through the block buffer directly (bypass Update's
-  // finished_ check and length accounting).
-  size_t i = 0;
-  while (i < pad_len) {
-    while (buf_len_ < 64 && i < pad_len) {
-      buf_[buf_len_++] = pad[i++];
-    }
-    if (buf_len_ == 64) {
-      compress_(state_, buf_, 1);
-      buf_len_ = 0;
-    }
-  }
+  compress_(state_, buf_, 1);
 
   Hash256 out;
   for (int j = 0; j < 8; j++) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/crypto/bignum.h"
 
 namespace avm {
@@ -131,6 +133,20 @@ TEST(Bignum, PowModFermat) {
     Bignum a(rng.Next() % 1000000006 + 1);
     EXPECT_EQ(Bignum::PowMod(a, Bignum(1000000006), p).LowU64(), 1u);
   }
+}
+
+TEST(Bignum, MontgomeryAcceptsOddModuliUpTo2048Bits) {
+  EXPECT_TRUE(Montgomery::Supports(Bignum(3)));
+  EXPECT_TRUE(Montgomery::Supports(Bignum::Sub(Bignum::Shl(Bignum(1), 2048), Bignum(1))));
+  EXPECT_FALSE(Montgomery::Supports(Bignum()));
+  EXPECT_FALSE(Montgomery::Supports(Bignum(1)));
+  EXPECT_FALSE(Montgomery::Supports(Bignum(1000)));
+  const Bignum wide = Bignum::Add(Bignum::Shl(Bignum(1), 2048), Bignum(1));
+  EXPECT_FALSE(Montgomery::Supports(wide));
+  EXPECT_THROW(Montgomery{wide}, std::invalid_argument);
+  EXPECT_THROW(Montgomery{Bignum(1000)}, std::invalid_argument);
+  // Wider moduli still exponentiate, through the division path.
+  EXPECT_EQ(Bignum::PowMod(Bignum(2), Bignum(2049), wide), Bignum::Sub(wide, Bignum(2)));
 }
 
 TEST(Bignum, GcdBasics) {

@@ -15,6 +15,7 @@
 #include "src/util/serde.h"
 #include "src/avmm/partial_snapshot.h"
 #include "src/avmm/snapshot.h"
+#include "src/crypto/rsa.h"
 #include "src/sim/scenario.h"
 #include "src/store/archive.h"
 #include "src/store/log_store.h"
@@ -452,6 +453,42 @@ TEST(TraceEventSerde, ClassificationMatchesFigure4Streams) {
   TraceEvent console;
   console.kind = TraceKind::kOutConsole;
   EXPECT_EQ(ClassifyTraceEvent(console), EntryType::kTraceOther);
+}
+
+// Public keys arrive serialized from machines the auditor does not
+// trust. A key of any width (empty, one, even, wider than the 2048-bit
+// Montgomery kernels) and any exponent must give a verify verdict for
+// any signature bytes, never a crash or an exception.
+TEST(RsaRobustness, UntrustedKeysAndSignaturesGiveAVerdict) {
+  Prng rng(77);
+  const Hash256 digest = Sha256::Digest("untrusted");
+  std::vector<Bignum> moduli = {Bignum(), Bignum(1), Bignum(2), Bignum(3), Bignum(0xffffffffu)};
+  for (size_t bits : {63u, 64u, 65u, 511u, 512u, 767u, 768u, 1024u, 2047u, 2048u, 2049u, 2112u,
+                      3072u}) {
+    // The same width odd (Montgomery, up to 2048 bits) and even (division).
+    Bignum m = Bignum::RandomWithBits(rng, bits);
+    moduli.push_back(m.IsOdd() ? m : Bignum::Add(m, Bignum(1)));
+    moduli.push_back(m.IsOdd() ? Bignum::Sub(m, Bignum(1)) : m);
+  }
+  const Bignum exponents[] = {Bignum(), Bignum(1), Bignum(2), Bignum(3), Bignum(65537),
+                              Bignum(rng.Next())};
+  for (const Bignum& n : moduli) {
+    for (const Bignum& e : exponents) {
+      Writer w;
+      w.Blob(n.ToBytes());
+      w.Blob(e.ToBytes());
+      RsaPublicKey key = RsaPublicKey::Deserialize(w.Take());
+      const size_t k = key.ByteLength();
+      for (size_t len : {k, k + 1, k > 0 ? k - 1 : 0}) {
+        Bytes sig = rng.RandomBytes(len);
+        Bytes ones(len, 0xff);
+        EXPECT_NO_THROW({
+          EXPECT_FALSE(RsaVerifyDigest(key, digest, sig));
+          EXPECT_FALSE(RsaVerifyDigest(key, digest, ones));
+        }) << "modulus " << n.ToHex() << " exponent " << e.ToHex() << " length " << len;
+      }
+    }
+  }
 }
 
 TEST(FrameParsing, BadTypesRejected) {

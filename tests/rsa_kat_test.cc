@@ -113,89 +113,12 @@ Bignum DivisionPowMod(const Bignum& base, const Bignum& exp, const Bignum& m) {
   return result;
 }
 
-TEST(RsaKat, KeygenFromFixedSeeds) {
-  for (const KeyVector& kv : kKeys) {
-    SCOPED_TRACE(std::to_string(kv.bits) + "-bit key, seed " + std::to_string(kv.seed));
-    RsaKeypair kp = Generate(kv);
-    EXPECT_EQ(kp.priv.n.ToHex(), kv.n);
-    EXPECT_EQ(kp.priv.d.ToHex(), kv.d);
-    EXPECT_EQ(kp.priv.p.ToHex(), kv.p);
-    EXPECT_EQ(kp.priv.q.ToHex(), kv.q);
-    EXPECT_EQ(kp.pub.n, kp.priv.n);
-    EXPECT_EQ(kp.pub.e, Bignum(65537));
-  }
-}
+// The arithmetic sweeps run first: a broken kernel fails them in
+// milliseconds, where key generation would search for primes forever.
 
-TEST(RsaKat, SignaturesBitForBit) {
-  for (const KeyVector& kv : kKeys) {
-    SCOPED_TRACE(std::to_string(kv.bits) + "-bit key, seed " + std::to_string(kv.seed));
-    RsaKeypair kp = Generate(kv);
-    for (int i = 0; i < 8; i++) {
-      SCOPED_TRACE("digest " + std::to_string(i));
-      if (kv.bits < 512) {
-        EXPECT_THROW(RsaSignDigest(kp.priv, Digest(i)), std::invalid_argument);
-        Bignum m = Bignum::FromBytes(Digest(i).view());
-        Bignum s = Bignum::PowMod(m, kp.priv.d, kp.priv.n);
-        EXPECT_EQ(HexEncode(s.ToBytes(kp.pub.ByteLength())), kv.sigs[i]);
-        EXPECT_EQ(Bignum::PowMod(s, kp.pub.e, kp.pub.n), Bignum::Mod(m, kp.pub.n));
-      } else {
-        EXPECT_EQ(HexEncode(RsaSignDigest(kp.priv, Digest(i))), kv.sigs[i]);
-      }
-    }
-  }
-}
-
-TEST(RsaKat, VerifyVerdicts) {
-  // Public keys rebuilt from the frozen moduli, as a receiver would.
-  std::vector<RsaPublicKey> pubs;
-  for (const KeyVector& kv : kKeys) {
-    pubs.push_back(RsaPublicKey{Bignum::FromHex(kv.n), Bignum(65537), nullptr});
-  }
-  for (size_t k = 0; k < std::size(kKeys); k++) {
-    const KeyVector& kv = kKeys[k];
-    if (kv.bits < 512) {
-      continue;
-    }
-    SCOPED_TRACE(std::to_string(kv.bits) + "-bit key, seed " + std::to_string(kv.seed));
-    const RsaPublicKey& pub = pubs[k];
-    for (int i = 0; i < 8; i++) {
-      SCOPED_TRACE("digest " + std::to_string(i));
-      Bytes sig = HexDecode(kv.sigs[i]);
-      EXPECT_TRUE(RsaVerifyDigest(pub, Digest(i), sig));
-      EXPECT_FALSE(RsaVerifyDigest(pub, Digest((i + 1) % 8), sig));
-
-      for (size_t bit : {size_t{0}, sig.size() * 4 + 3, sig.size() * 8 - 1}) {
-        Bytes flipped = sig;
-        flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-        EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), flipped));
-      }
-
-      Bytes at_n = pub.n.ToBytes(pub.ByteLength());
-      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), at_n));
-      Bytes above_n = Bignum::Add(pub.n, Bignum(2)).ToBytes(pub.ByteLength());
-      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), above_n));
-      Bytes all_ff(pub.ByteLength(), 0xff);
-      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), all_ff));
-
-      Bytes longer = sig;
-      longer.insert(longer.begin(), 0);
-      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), longer));
-      Bytes shorter(sig.begin() + 1, sig.end());
-      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), shorter));
-      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), Bytes()));
-
-      for (size_t other = 0; other < std::size(kKeys); other++) {
-        if (other != k) {
-          EXPECT_FALSE(RsaVerifyDigest(pubs[other], Digest(i), sig));
-        }
-      }
-    }
-  }
-}
-
-// Bit lengths that land on and just past every 64-bit limb boundary up
-// to 2048, plus a few in between. Moduli of 32 bits and below go through
-// Bignum::PowMod only.
+// For every limb count 1..32: the shortest length with that many 64-bit
+// limbs (top limb 1), a half-full top limb and a full one. Moduli of 32
+// bits and below are left to the Bignum::PowMod sweep below.
 std::vector<size_t> SweepBitLengths() {
   std::vector<size_t> out;
   for (size_t limbs = 1; limbs <= 32; limbs++) {
@@ -259,6 +182,89 @@ TEST(RsaKat, PowModMatchesDivisionForSmallAndWideModuli) {
       Bignum b = Bignum::RandomWithBits(rng, 1 + rng.Below(m.BitLength() + 64));
       Bignum e = Bignum::RandomWithBits(rng, 1 + rng.Below(96));
       ASSERT_EQ(Bignum::PowMod(b, e, m), DivisionPowMod(b, e, m));
+    }
+  }
+}
+
+TEST(RsaKat, KeygenFromFixedSeeds) {
+  for (const KeyVector& kv : kKeys) {
+    SCOPED_TRACE(std::to_string(kv.bits) + "-bit key, seed " + std::to_string(kv.seed));
+    RsaKeypair kp = Generate(kv);
+    EXPECT_EQ(kp.priv.n.ToHex(), kv.n);
+    EXPECT_EQ(kp.priv.d.ToHex(), kv.d);
+    EXPECT_EQ(kp.priv.p.ToHex(), kv.p);
+    EXPECT_EQ(kp.priv.q.ToHex(), kv.q);
+    EXPECT_EQ(kp.pub.n, kp.priv.n);
+    EXPECT_EQ(kp.pub.e, Bignum(65537));
+  }
+}
+
+TEST(RsaKat, SignaturesBitForBit) {
+  for (const KeyVector& kv : kKeys) {
+    SCOPED_TRACE(std::to_string(kv.bits) + "-bit key, seed " + std::to_string(kv.seed));
+    RsaKeypair kp = Generate(kv);
+    for (int i = 0; i < 8; i++) {
+      SCOPED_TRACE("digest " + std::to_string(i));
+      if (kv.bits < 512) {
+        EXPECT_THROW(RsaSignDigest(kp.priv, Digest(i)), std::invalid_argument);
+        Bignum m = Bignum::FromBytes(Digest(i).view());
+        Bignum s = Bignum::PowMod(m, kp.priv.d, kp.priv.n);
+        EXPECT_EQ(HexEncode(s.ToBytes(kp.pub.ByteLength())), kv.sigs[i]);
+        EXPECT_EQ(Bignum::PowMod(s, kp.pub.e, kp.pub.n), Bignum::Mod(m, kp.pub.n));
+      } else {
+        EXPECT_EQ(HexEncode(RsaSignDigest(kp.priv, Digest(i))), kv.sigs[i]);
+      }
+    }
+  }
+}
+
+TEST(RsaKat, VerifyVerdicts) {
+  // Public keys rebuilt from the frozen moduli, as a receiver would.
+  std::vector<RsaPublicKey> pubs;
+  for (const KeyVector& kv : kKeys) {
+    RsaPublicKey pub;
+    pub.n = Bignum::FromHex(kv.n);
+    pub.e = Bignum(65537);
+    pubs.push_back(pub);
+  }
+  for (size_t k = 0; k < std::size(kKeys); k++) {
+    const KeyVector& kv = kKeys[k];
+    if (kv.bits < 512) {
+      continue;
+    }
+    SCOPED_TRACE(std::to_string(kv.bits) + "-bit key, seed " + std::to_string(kv.seed));
+    const RsaPublicKey& pub = pubs[k];
+    for (int i = 0; i < 8; i++) {
+      SCOPED_TRACE("digest " + std::to_string(i));
+      Bytes sig = HexDecode(kv.sigs[i]);
+      EXPECT_TRUE(RsaVerifyDigest(pub, Digest(i), sig));
+      EXPECT_FALSE(RsaVerifyDigest(pub, Digest((i + 1) % 8), sig));
+
+      for (size_t bit : {size_t{0}, sig.size() * 4 + 3, sig.size() * 8 - 1}) {
+        Bytes flipped = sig;
+        flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), flipped));
+      }
+
+      Bytes at_n = pub.n.ToBytes(pub.ByteLength());
+      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), at_n));
+      Bytes above_n = Bignum::Add(pub.n, Bignum(2)).ToBytes(pub.ByteLength());
+      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), above_n));
+      Bytes all_ff(pub.ByteLength(), 0xff);
+      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), all_ff));
+
+      Bytes longer = sig;
+      longer.insert(longer.begin(), 0);
+      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), longer));
+      Bytes shorter(sig.begin() + 1, sig.end());
+      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), shorter));
+      EXPECT_FALSE(RsaVerifyDigest(pub, Digest(i), Bytes()));
+
+      for (size_t other = 0; other < std::size(kKeys); other++) {
+        if (other != k) {
+          EXPECT_FALSE(RsaVerifyDigest(pubs[other], Digest(i), sig));
+        }
+      }
     }
   }
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "src/crypto/sha256.h"
 #include "src/util/prng.h"
 
@@ -55,6 +58,42 @@ TEST(Sha256, StreamingMatchesOneShotRandomSplits) {
     }
     EXPECT_EQ(h.Finish(), one);
   }
+}
+
+// Every padding shape: the 0x80 byte and length fitting in the last
+// block (55), spilling into a second block (56, 63, 119), and starting a
+// fresh block (64, 120). Each length is hashed one-shot and byte by
+// byte, by the dispatched and the portable compression; the expected
+// values come from an independent SHA-256 implementation.
+TEST(Sha256, PaddingAtEveryLengthUpTo200) {
+  const std::map<size_t, std::string> boundary = {
+      {55, "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b"},
+      {56, "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27"},
+      {63, "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055"},
+      {64, "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241"},
+      {119, "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e"},
+      {120, "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5"},
+  };
+  Sha256 all_digests;
+  Bytes data;
+  for (size_t len = 0; len <= 200; len++) {
+    Sha256 portable = Sha256::PortableForTesting();
+    Sha256 bytewise;
+    for (uint8_t b : data) {
+      bytewise.Update(ByteView(&b, 1));
+    }
+    const Hash256 digest = Sha256::Digest(data);
+    EXPECT_EQ(digest, portable.Update(data).Finish()) << "length " << len;
+    EXPECT_EQ(digest, bytewise.Finish()) << "length " << len;
+    if (auto it = boundary.find(len); it != boundary.end()) {
+      EXPECT_EQ(digest.Hex(), it->second) << "length " << len;
+    }
+    all_digests.Update(digest.view());
+    data.push_back(static_cast<uint8_t>(len * 7 + 3));
+  }
+  // SHA-256 over the concatenated digests of lengths 0..200.
+  EXPECT_EQ(all_digests.Finish().Hex(),
+            "3275febb4612d86d586eb9f11cd21e648a9fc7d95e0f6b8d362786e28c9c5b79");
 }
 
 TEST(Sha256, UpdateAfterFinishThrows) {

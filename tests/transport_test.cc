@@ -266,5 +266,65 @@ TEST_F(TransportRsaFixture, TamperedPayloadRejected) {
   EXPECT_EQ(bob_received.size(), 1u);
 }
 
+TEST_F(TransportRsaFixture, CorruptedSenderAuthenticatorSignatureRejected) {
+  // A well-formed data frame whose authenticator commits to SEND(m) but
+  // carries a damaged signature.
+  MessageRecord rec{"alice", "bob", 1, ToBytes("payload")};
+  DataFrame f;
+  f.msg = rec;
+  f.payload_sig = alice_signer.Sign(rec.Serialize());
+  f.prev_hash = Hash256::Zero();
+  f.auth.node = "alice";
+  f.auth.seq = 1;
+  f.auth.hash = ChainHash(Hash256::Zero(), 1, EntryType::kSend,
+                          MessageEntryContent(rec, f.payload_sig));
+  f.auth.signature = alice_signer.Sign(Authenticator::SignedPayload("alice", 1, f.auth.hash));
+  f.auth.signature[7] ^= 0x01;
+  net.SendFrame(0, "alice", "bob", WrapFrame(FrameType::kData, f.Serialize()));
+  Settle(kMicrosPerSecond);
+  ASSERT_EQ(bob->violations().size(), 1u);
+  EXPECT_EQ(bob->violations()[0], "sender authenticator signature invalid from alice");
+  EXPECT_EQ(bob_auths.CountFor("alice"), 0u);
+  EXPECT_TRUE(bob_received.empty());
+  EXPECT_EQ(bob_log.size(), 0u);
+}
+
+TEST_F(TransportRsaFixture, CorruptedAckAuthenticatorSignatureRejected) {
+  // Swallow alice's data frame so bob never acks it, then answer it with
+  // an ack whose authenticator commits to RECV(m) under a damaged
+  // signature.
+  struct Sink : public NetworkDelegate {
+    Bytes last;
+    void OnFrame(SimTime, const NodeId&, ByteView frame) override {
+      last.assign(frame.begin(), frame.end());
+    }
+  };
+  Sink sink;
+  net.AttachHost("bob", &sink);
+  alice->SendPacket(0, "bob", ToBytes("needs an ack"));
+  Settle(1000);
+  ASSERT_FALSE(sink.last.empty());
+  DataFrame data = DataFrame::Deserialize(UnwrapFrame(sink.last));
+  const Bytes content = MessageEntryContent(data.msg, data.payload_sig);
+
+  AckFrame ack;
+  ack.acker = "bob";
+  ack.orig_src = "alice";
+  ack.msg_id = data.msg.msg_id;
+  ack.content_hash = Sha256::Digest(content);
+  ack.prev_hash = Hash256::Zero();
+  ack.auth.node = "bob";
+  ack.auth.seq = 1;
+  ack.auth.hash = ChainHash(Hash256::Zero(), 1, EntryType::kRecv, content);
+  ack.auth.signature = bob_signer.Sign(Authenticator::SignedPayload("bob", 1, ack.auth.hash));
+  ack.auth.signature[7] ^= 0x01;
+  alice->OnFrame(1000, "bob", WrapFrame(FrameType::kAck, ack.Serialize()));
+  ASSERT_EQ(alice->violations().size(), 1u);
+  EXPECT_EQ(alice->violations()[0], "ack authenticator signature invalid from bob");
+  EXPECT_EQ(alice_auths.CountFor("bob"), 0u);
+  EXPECT_EQ(alice->stats().acks_received, 0u);
+  EXPECT_EQ(alice_log.size(), 1u);  // SEND only; no ACK logged.
+}
+
 }  // namespace
 }  // namespace avm
