@@ -80,14 +80,17 @@ void Run(BenchJson& json) {
   std::printf("  cross-check vs AuditOutcome timers: syntactic %.3f/%.3f, semantic %.3f/%.3f\n",
               syn_s, audit.syntactic_seconds, replay_s, audit.semantic_seconds);
   const double sem_syn_ratio = replay_s / std::max(syn_s, 1e-9);
-  const double replay_record_ratio = replay_s / std::max(record_seconds, 1e-9);
+  // The paper's game ran in real time, so the audited machine's original
+  // execution took as long as the simulated duration here.
+  const double exec_s = static_cast<double>(game.now()) / kMicrosPerSecond;
+  const double replay_exec_ratio = replay_s / std::max(exec_s, 1e-9);
   std::printf("  semantic / syntactic ratio: %.2fx (paper: ~287x)\n", sem_syn_ratio);
-  std::printf("  replay / original-recording ratio: %.2fx (paper: ~0.89x, replay skips idle)\n",
-              replay_record_ratio);
+  std::printf("  replay / original-execution ratio: %.4fx (paper: ~0.89x, replay skips idle)\n",
+              replay_exec_ratio);
   // The paper's two shape claims, checked rather than asserted. "Orders
   // of magnitude" means at least 100x; "on the order of" means within 10x.
   const bool syn_much_cheaper = sem_syn_ratio >= 100.0;
-  const bool replay_near_record = replay_record_ratio >= 0.1 && replay_record_ratio <= 10.0;
+  const bool replay_near_exec = replay_exec_ratio >= 0.1 && replay_exec_ratio <= 10.0;
   if (syn_much_cheaper) {
     std::printf("  shape check vs paper: syntactic is orders of magnitude cheaper than\n");
     std::printf("  semantic: holds (%.0fx).\n", sem_syn_ratio);
@@ -100,10 +103,18 @@ void Run(BenchJson& json) {
     std::printf("  authenticator.\n");
   }
   std::printf("  shape check vs paper: replay cost is on the order of the original\n");
-  std::printf("  execution: %s (%.2fx).\n", replay_near_record ? "holds" : "KNOWN DEVIATION",
-              replay_record_ratio);
-  std::printf("  (note: recording here drives 4 machines, replay just 1, so the\n");
-  std::printf("   replay/record ratio lands below 1 for that reason too.)\n");
+  if (replay_near_exec) {
+    std::printf("  execution: holds (%.2fx).\n", replay_exec_ratio);
+  } else {
+    const double insns = static_cast<double>(audit.semantic.instructions_replayed);
+    std::printf("  execution: KNOWN DEVIATION (%.4fx). The simulated CPU is clocked\n",
+                replay_exec_ratio);
+    std::printf("  at %.1f M instructions per simulated second, and replay re-executes\n",
+                insns / std::max(exec_s, 1e-9) / 1e6);
+    std::printf("  them at %.0f MIPS; the paper's guest ran on real hardware at full\n",
+                insns / std::max(replay_s, 1e-9) / 1e6);
+    std::printf("  speed, which its replay could only match.\n");
+  }
 
   json.Add("phase_compress_s", compress_s, "s");
   json.Add("phase_decompress_s", decompress_s, "s");
@@ -112,6 +123,8 @@ void Run(BenchJson& json) {
   json.Add("phase_replay_s", replay_s, "s");
   json.Add("semantic_syntactic_ratio", sem_syn_ratio, "x");
   json.Add("shape_syntactic_orders_cheaper", syn_much_cheaper ? 1 : 0, "bool");
+  json.Add("replay_execution_ratio", replay_exec_ratio, "x");
+  json.Add("shape_replay_near_execution", replay_near_exec ? 1 : 0, "bool");
 
   // The semantic check re-run per replay tier: the JIT (the default
   // AuditFull path above) vs the decoded-cache interpreter. The verdict

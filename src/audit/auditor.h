@@ -36,17 +36,16 @@ struct AuditConfig {
   // order). Spot-check segments can begin mid-queue, so the check is
   // relaxed to packets visible within the segment.
   bool strict_message_crossref = true;
-  // Overlap the syntactic check with the semantic check (deterministic
-  // replay) on the worker pool: replay runs concurrently with hashing +
-  // signature verification instead of strictly after it, and the
-  // store-backed AuditFull streams chunk i+1 through the syntactic
-  // checks while chunk i replays (O(chunk) memory). Takes effect only
-  // when the resolved thread count is > 1; every verdict — audit,
+  // Every audit reads its range in chunks, checks each chunk and then
+  // replays it (src/audit/pipeline.h). Pipelined, a chunk replays on a
+  // pool worker while the next chunk is read and checked. Takes effect
+  // only when the resolved thread count is > 1; every verdict — audit,
   // spot check, evidence kind, failure seq — is bit-for-bit identical
-  // to the sequential phases (asserted by pipeline_audit_test), only
-  // wall-clock time changes.
+  // either way (asserted by pipeline_audit_test), only wall-clock time
+  // changes.
   bool pipelined = true;
-  // Entries per chunk for the store-backed streaming pipeline.
+  // Entries per audit chunk; memory held by an audit is O(chunk) plus
+  // the replayed machine.
   size_t pipeline_chunk_entries = 2048;
   // Run the semantic check (deterministic replay) through the x86-64
   // JIT tier where compiled in (src/vm/jit). Off replays on the
@@ -99,19 +98,6 @@ struct AuditOutcome {
   std::string Describe() const;
 };
 
-// Full-audit precheck shared by Auditor and CheckpointedAuditor: a
-// signature-verified authenticator past the end of the served log is
-// evidence of a rewind (§4.3) — the machine signed a commitment at
-// seq X but cannot produce a log containing it. Honest crash recovery
-// never looks like this (no authenticator is released above the
-// durability watermark), and spot checks audit a window by design, so
-// the check applies to full audits only. Unverified signatures are
-// skipped: a forged authenticator must not frame the auditee. Returns
-// the failed outcome with kProtocolViolation evidence, or nullopt.
-std::optional<AuditOutcome> DetectLogRewind(const Avmm& target, const SegmentSource& source,
-                                            std::span<const Authenticator> auths,
-                                            const KeyRegistry& registry, size_t mem_size);
-
 // Positions (seq) and metadata of the kSnapshot entries in a log.
 struct SnapshotIndexEntry {
   uint64_t seq;
@@ -133,7 +119,8 @@ class Auditor {
 
   // Full audit: verify the whole log and replay it from the reference
   // image (§4.5). `auths` are the authenticators this auditor collected
-  // for the target during the execution.
+  // for the target during the execution; a verified one past the end of
+  // the log fails the audit as a rewind (§4.3).
   AuditOutcome AuditFull(const Avmm& target, ByteView reference_image,
                          std::span<const Authenticator> auths);
 
@@ -153,7 +140,7 @@ class Auditor {
   // Store-backed variants: identical audits, but the log is read from
   // `source` (e.g. a store::LogStore opened from disk, possibly in a
   // different process than the one that recorded it) instead of the
-  // target's in-memory log. Since Extract yields the same entries, the
+  // target's in-memory log. Since Scan yields the same entries, the
   // verdicts are bit-for-bit those of the in-memory path. `target` still
   // supplies what only the machine can: snapshot increments and fresh
   // end-of-segment commitments.
@@ -169,11 +156,6 @@ class Auditor {
   const AuditConfig& config() const { return cfg_; }
 
  private:
-  AuditOutcome Run(const Avmm& target, const LogSegment& segment,
-                   std::span<const Authenticator> auths, ByteView reference_image,
-                   const MaterializedState* start_state, uint64_t snapshot_bytes,
-                   bool strict_crossref, ThreadPool* pool);
-
   // `snaps` is the log's snapshot index, computed once by the caller
   // (indexing scans the whole source, which for a store-backed log
   // means reading every segment -- too costly to repeat per window).
@@ -200,21 +182,16 @@ class Auditor {
 
 // Streams the entire log of `source` through the §4.4/§4.5 syntactic
 // checks -- chain rule, seq continuity, authenticator matching, and the
-// full message-stream check -- without ever materializing more than one
-// store segment. This is how an auditor triages a log far larger than
-// RAM before deciding which windows are worth replaying; store-layer
-// corruption (bad CRC, truncated segment) surfaces as a failed check,
-// not an exception. Single-threaded by construction (the stream is
-// consumed in order), so there is no pool parameter.
-//
-// NOTE: this triage entry point reports the *first failure in seq
-// order* with the checks interleaved per entry — intentionally not the
-// phase-priority ordering of AuditFull (chain, then authenticators,
-// then message stream), which ChunkedSyntacticChecker in
-// src/audit/pipeline.h reproduces. When touching the chain rule or the
-// authenticator checks, update all three walks (VerifyChain, this, the
-// chunked checker) — the equivalence tests in pipeline_audit_test and
-// store_test will catch drift.
+// full message-stream check -- in one Scan, without ever materializing
+// more than one store segment. This is how an auditor triages a log far
+// larger than RAM before deciding which windows are worth replaying.
+// The verdict is AuditFull's syntactic verdict, in the same phase
+// priority (rewind, then chain, then authenticators, then message
+// stream, each failure at the same seq): both feed the one
+// ChunkedSyntacticChecker (src/audit/pipeline.h). Store-layer
+// corruption (bad CRC, truncated segment) surfaces as "log source
+// unreadable", not an exception. Single-threaded by construction (the
+// stream is consumed in order), so there is no pool parameter.
 CheckResult StreamingSyntacticCheck(const SegmentSource& source,
                                     std::span<const Authenticator> auths,
                                     const KeyRegistry& registry, const AuditConfig& cfg);

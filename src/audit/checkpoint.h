@@ -89,10 +89,9 @@ std::optional<AuditCheckpoint> LoadAuditCheckpoint(const std::string& dir,
 // How checkpointed audits behave.
 struct CheckpointConfig {
   // Capture cadence in log entries (0 = never write checkpoints).
-  // Captures land on the first chunk boundary at or after each multiple
-  // of the cadence, and only from fully-verified, replay-quiescent
-  // states — so the cadence changes how much a resume saves, never any
-  // verdict.
+  // Audit chunks end on every multiple of the cadence; a capture lands
+  // there only from a fully-verified, replay-quiescent state — so the
+  // cadence changes how much a resume saves, never any verdict.
   uint64_t every_entries = 8192;
   // The auditing identity: names the checkpoint file, and — when
   // `signer` is set — signs checkpoints so the (auditee-controlled)
@@ -121,12 +120,12 @@ struct ResumeInfo {
 };
 
 // A full-audit driver that resumes from (and refreshes) a persisted
-// checkpoint. Verdicts — ok, syntactic/semantic reason + seq, evidence
-// kind — are bit-for-bit those of Auditor::AuditFull at every cadence,
-// sign mode and thread count; only wall-clock time and the bytes-read
-// accounting change. With cfg.threads > 1 the replay of chunk i
-// overlaps the syntactic check of chunk i+1 (the src/audit/pipeline
-// idea, with a join at every capture point).
+// checkpoint: it loads and validates the checkpoint, then runs the
+// audit engine (RunAudit, src/audit/pipeline.h) from the watermark
+// with a capture hook at every cadence boundary. Verdicts — ok,
+// syntactic/semantic reason + seq, evidence kind — are bit-for-bit
+// those of Auditor::AuditFull at every cadence, sign mode and thread
+// count; only wall-clock time and the bytes-read accounting change.
 class CheckpointedAuditor {
  public:
   CheckpointedAuditor(NodeId self, const KeyRegistry* registry, AuditConfig cfg = {},

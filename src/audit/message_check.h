@@ -1,11 +1,10 @@
 // The message-stream state machine of the §4.4/§4.5 syntactic check,
 // factored so the same code runs over a materialized segment
-// (SyntacticMessageCheck), over a streaming cursor
-// (StreamingSyntacticCheck), and over the chunked pipelined audit
-// (src/audit/pipeline.h). Feed() consumes entries in log order;
-// `sig_verdict` is a precomputed RSA result (-1 = verify inline), so
-// the batch path with a pool and every streaming path produce identical
-// verdicts at identical seqs.
+// (SyntacticMessageCheck) and inside the audit engine's chunked checker
+// (ChunkedSyntacticChecker, src/audit/pipeline.h). Feed() consumes
+// entries in log order; `sig_verdict` is a precomputed RSA result (-1 =
+// verify inline), so the batch path with a pool and the chunked path
+// produce identical verdicts at identical seqs.
 //
 // Batched/async sign modes elide per-message signatures: SEND/RECV
 // entries carry an empty payload signature and ACK entries an unsigned

@@ -1,9 +1,7 @@
 #include "src/audit/pipeline.h"
 
-#include <condition_variable>
-#include <deque>
+#include <algorithm>
 #include <limits>
-#include <mutex>
 
 #include "src/audit/replayer.h"
 #include "src/avmm/recorder.h"
@@ -76,6 +74,9 @@ void ChunkedSyntacticChecker::Feed(std::span<const LogEntry> entries,
     // reports the first failing authenticator in span order, not in
     // seq order.
     auto [first, end] = auth_by_seq_.equal_range(e.seq);
+    if (first != end) {
+      auth_hashes_[e.seq] = e.hash;
+    }
     for (auto it = first; it != end; ++it) {
       CheckAuthAt(it->second, e.hash);
     }
@@ -118,11 +119,6 @@ void ChunkedSyntacticChecker::CheckAuthAt(size_t auth_index, const Hash256& log_
   }
 }
 
-void ChunkedSyntacticChecker::ResolveAuthBehindWatermark(size_t auth_index,
-                                                         const Hash256& log_hash) {
-  CheckAuthAt(auth_index, log_hash);
-}
-
 void ChunkedSyntacticChecker::SerializeResumableState(Writer& w) const {
   smc_.SerializeState(w);
   w.U8(attested_.has_value() ? 1 : 0);
@@ -131,7 +127,8 @@ void ChunkedSyntacticChecker::SerializeResumableState(Writer& w) const {
   }
 }
 
-void ChunkedSyntacticChecker::RestoreResumableState(Reader& r, uint64_t watermark_seq) {
+void ChunkedSyntacticChecker::RestoreResumableState(
+    Reader& r, uint64_t watermark_seq, const std::map<uint64_t, Hash256>& auth_hashes) {
   smc_.RestoreState(r);
   bool has_attested = r.U8() != 0;
   if (has_attested != attested_.has_value()) {
@@ -147,6 +144,13 @@ void ChunkedSyntacticChecker::RestoreResumableState(Reader& r, uint64_t watermar
   started_ = true;
   expect_seq_ = watermark_seq + 1;
   fed_ = watermark_seq;
+  // Authenticators at or behind the watermark never stream by; resolve
+  // them against the chain hashes verified when the checkpoint was
+  // written, in span order like everything else.
+  auth_hashes_ = auth_hashes;
+  for (auto it = auth_by_seq_.begin(); it != auth_by_seq_.upper_bound(watermark_seq); ++it) {
+    CheckAuthAt(it->second, auth_hashes_.at(it->first));
+  }
 }
 
 CheckResult ChunkedSyntacticChecker::Finalize() const {
@@ -180,265 +184,336 @@ CheckResult ChunkedSyntacticChecker::Finalize() const {
 
 namespace {
 
-// Bounded handoff of checked chunks from the syntactic task to the
-// replaying caller. The producer always runs to the end of the source
-// (readability of every chunk is part of the sequential verdict), so
-// the consumer must drain until Close().
-struct ChunkQueue {
-  static constexpr size_t kMaxQueued = 2;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<LogSegment> ready;
-  bool closed = false;
-  bool aborted = false;  // Consumer gone; pushes are discarded.
-
-  void Push(LogSegment seg) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return ready.size() < kMaxQueued || aborted; });
-    if (aborted) {
-      return;
+// A signature-verified authenticator past the end of the served log is
+// evidence of a rewind (§4.3): the machine signed a commitment at seq X
+// but cannot produce a log containing it. Honest crash recovery never
+// looks like this (no authenticator is released above the durability
+// watermark). Unverified signatures are skipped: a forged authenticator
+// must not frame the auditee. Returns the offending authenticator.
+const Authenticator* FindRewindProof(const SegmentSource& source,
+                                     std::span<const Authenticator> auths,
+                                     const KeyRegistry& registry) {
+  const uint64_t served_last = source.LastSeq();
+  for (const Authenticator& a : auths) {
+    if (a.node == source.node() && a.seq > served_last && a.VerifySignature(registry)) {
+      return &a;
     }
-    ready.push_back(std::move(seg));
-    cv.notify_all();
   }
-  void Close() {
-    std::unique_lock<std::mutex> lock(mu);
-    closed = true;
-    cv.notify_all();
-  }
-  void Abort() {
-    std::unique_lock<std::mutex> lock(mu);
-    aborted = true;
-    cv.notify_all();
-  }
-  // False = producer closed and nothing left.
-  bool Pop(LogSegment* out) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return !ready.empty() || closed; });
-    if (ready.empty()) {
-      return false;
+  return nullptr;
+}
+
+CheckResult RewoundResult(const Authenticator& a, uint64_t served_last) {
+  return CheckResult::Fail("log rewound: authenticator commits seq " + std::to_string(a.seq) +
+                               " but the served log ends at " + std::to_string(served_last),
+                           a.seq);
+}
+
+// Joins the audit's in-flight replay task on every exit path: the task
+// uses the audit's locals by reference. Replay tasks catch their own
+// exceptions, so Wait() does not throw here.
+class ReplayJoin {
+ public:
+  explicit ReplayJoin(ThreadPool* pool) : pool_(pool) {}
+  ReplayJoin(const ReplayJoin&) = delete;
+  ReplayJoin& operator=(const ReplayJoin&) = delete;
+  ~ReplayJoin() { (*this)(); }
+
+  void Started() { in_flight_ = true; }
+  void operator()() {
+    if (in_flight_) {
+      pool_->Wait();
+      in_flight_ = false;
     }
-    *out = std::move(ready.front());
-    ready.pop_front();
-    cv.notify_all();
-    return true;
   }
+
+ private:
+  ThreadPool* pool_;
+  bool in_flight_ = false;
 };
 
-// Joins the producer task on every exit path: the task captures the
-// queue, checker and result slots by reference, so if anything on the
-// consumer side throws they must not be destroyed while the producer
-// runs. Abort() also unblocks a producer waiting in Push().
-struct PipelineJoinGuard {
-  ChunkQueue* queue;
-  ThreadPool* pool;
-  ~PipelineJoinGuard() {
-    queue->Abort();
-    try {
-      pool->Wait();
-    } catch (...) {
-      // Unwinding already; the producer swallows its own exceptions, so
-      // nothing of value is lost here.
-    }
+CheckResult UnreadableResult(const std::string& why) {
+  return CheckResult::Fail("log source unreadable: " + why);
+}
+
+// Streams [from, to] through `visit` in one Scan. An audit source is
+// untrusted input: a corrupt or truncated store (CRC mismatch, torn
+// segment, a scan that ends early) yields the unreadable verdict, not
+// an exception. Exceptions `visit` throws propagate unchanged.
+std::optional<CheckResult> ScanRange(const SegmentSource& source, uint64_t from, uint64_t to,
+                                     const std::function<void(const LogEntry&)>& visit) {
+  uint64_t next = from;
+  std::exception_ptr visit_err;
+  try {
+    source.Scan(from, to, [&](const LogEntry& e) {
+      try {
+        visit(e);
+      } catch (...) {
+        visit_err = std::current_exception();
+        return false;
+      }
+      next++;
+      return true;
+    });
+  } catch (const std::runtime_error& e) {
+    return UnreadableResult(e.what());
   }
-};
+  if (visit_err != nullptr) {
+    std::rethrow_exception(visit_err);
+  }
+  if (next != to + 1) {
+    return UnreadableResult("scan ended before seq " + std::to_string(next));
+  }
+  return std::nullopt;
+}
 
 }  // namespace
 
-AuditOutcome PipelinedStreamingAuditFull(const Avmm& target, const SegmentSource& source,
-                                         ByteView reference_image,
-                                         std::span<const Authenticator> auths,
-                                         const KeyRegistry& registry, const AuditConfig& cfg,
-                                         ThreadPool& pool) {
-  if (pool.thread_count() <= 1) {
-    // Submit() would run the producer inline and deadlock against the
-    // bounded queue; callers must use the sequential path instead.
-    throw std::logic_error("PipelinedStreamingAuditFull needs a pool with >1 threads");
-  }
+CheckResult StreamingSyntacticCheck(const SegmentSource& source,
+                                    std::span<const Authenticator> auths,
+                                    const KeyRegistry& registry, const AuditConfig& cfg) {
   const uint64_t last = source.LastSeq();
-  const size_t chunk_entries = cfg.pipeline_chunk_entries > 0 ? cfg.pipeline_chunk_entries : 2048;
+  if (const Authenticator* a = FindRewindProof(source, auths, registry)) {
+    return RewoundResult(*a, last);
+  }
+  if (last == 0) {
+    return CheckResult::Fail("empty segment");
+  }
+  ChunkedSyntacticChecker checker(source.node(), 1, last, Hash256::Zero(), auths, registry, cfg);
+  if (auto unreadable = ScanRange(source, 1, last, [&](const LogEntry& e) {
+        checker.Feed(std::span<const LogEntry>(&e, 1));
+      })) {
+    return *unreadable;
+  }
+  return checker.Finalize();
+}
+
+AuditOutcome RunAudit(const Avmm& target, const SegmentSource& source,
+                      std::span<const Authenticator> auths, const AuditScope& scope,
+                      const KeyRegistry& registry, AuditConfig cfg, ThreadPool* pool) {
+  AuditOutcome out;
+  const bool full = scope.window_start == nullptr;
+  cfg.strict_message_crossref = full;
+  const uint64_t from = full ? 1 : scope.from_seq;
+  const uint64_t to = full ? source.LastSeq() : scope.to_seq;
+  if (full) {
+    if (const Authenticator* a = FindRewindProof(source, auths, registry)) {
+      out.syntactic = RewoundResult(*a, to);
+      Evidence ev;
+      ev.kind = EvidenceKind::kProtocolViolation;
+      ev.accused = target.id();
+      ev.claim = out.syntactic.reason;
+      ev.auths.push_back(a->Serialize());
+      ev.mem_size = cfg.mem_size;
+      out.evidence = std::move(ev);
+      return out;
+    }
+  }
+  if (to < from) {
+    out.syntactic = CheckResult::Fail("empty segment");
+    return out;
+  }
 
   // Replay gate, not a verdict: replay work is only worth starting if
   // every authenticator the verdict can depend on carries a valid
   // signature — otherwise a forged log (which anyone can chain-hash,
   // but only the accused machine can sign) would cost this auditor a
-  // full replay before the syntactic check rejects it. The verdict
-  // itself still comes from the checker, in sequential order; the RSA
-  // results computed here are handed to the checker so no signature is
-  // verified twice.
+  // replay before the syntactic check rejects it. The verdict itself
+  // still comes from the checker, in sequential order; the RSA results
+  // are handed to it so no signature is verified twice.
   std::vector<int8_t> auth_sig_verdicts(auths.size(), -1);
   std::vector<size_t> relevant;
   for (size_t i = 0; i < auths.size(); i++) {
-    if (auths[i].node == source.node() && auths[i].seq >= 1 && auths[i].seq <= last) {
+    if (auths[i].node == source.node() && auths[i].seq >= from && auths[i].seq <= to) {
       relevant.push_back(i);
     }
   }
-  // Fan the gate's RSA checks across the (otherwise still idle) pool,
-  // as VerifyAgainstAuthenticators does on the materialized path.
-  {
-    obs::Span rsa_span(obs::kPhaseAuditRsaVerify, "audit");
-    pool.ParallelFor(relevant.size(), [&](size_t k) {
-      auth_sig_verdicts[relevant[k]] = auths[relevant[k]].VerifySignature(registry) ? 1 : 0;
-    });
-  }
-  bool replay_worthwhile = !relevant.empty();
-  for (size_t i : relevant) {
-    replay_worthwhile = replay_worthwhile && auth_sig_verdicts[i] == 1;
-  }
-
-  AuditOutcome out;
-  out.snapshot_bytes = 0;
-
-  ChunkQueue queue;
-  ChunkedSyntacticChecker checker(source.node(), 1, last, Hash256::Zero(), auths, registry, cfg,
-                                  auth_sig_verdicts);
-  std::string unreadable;          // Nonempty = some chunk failed to extract.
-  bool have_unreadable = false;
-  std::exception_ptr producer_err;  // Non-runtime_error exceptions, rethrown.
-  uint64_t entry_wire_bytes = 0;
   double syn_seconds = 0;
-
-  pool.Submit([&] {
-    uint64_t s = 1;
-    try {
-      while (s <= last) {
-        // Timed per chunk, around the extraction + checks only: time
-        // blocked in Push() waiting for the replay consumer is not
-        // syntactic work.
-        WallTimer syn_timer;
-        obs::Span syn_span(obs::kPhaseAuditSyntactic, "audit");
-        const uint64_t to = std::min<uint64_t>(s + chunk_entries - 1, last);
-        LogSegment chunk;
-        try {
-          chunk = source.Extract(s, to);
-        } catch (const std::runtime_error& e) {
-          // The sequential path extracts the whole range up front, so a
-          // corrupt store anywhere in [1, last] yields the unreadable
-          // outcome regardless of earlier check failures.
-          unreadable = e.what();
-          have_unreadable = true;
-          break;
-        }
-        for (const LogEntry& e : chunk.entries) {
-          entry_wire_bytes += e.WireSize();
-        }
-        // With spare workers beyond the producer + replayer pair, fan
-        // this chunk's per-message RSA checks across the pool (same
-        // precompute the materialized path uses; verdict-identical).
-        // Once any failure is recorded the message scan is over — the
-        // remaining chunks only need hashing, for chain/unreadable
-        // precedence — so skip the (expensive) RSA precompute then.
-        SigVerdicts smc_verdicts;
-        if (pool.thread_count() > 2 && !checker.AnyFailure()) {
-          smc_verdicts = PrecomputeMessageSigVerdicts(chunk, registry, pool);
-        }
-        checker.Feed(chunk.entries, smc_verdicts);
-        syn_seconds += syn_timer.ElapsedSeconds();
-        syn_span.End();  // Blocked time in Push() is not syntactic work.
-        // Replay's result is discarded on any syntactic failure, so
-        // stop shipping chunks once one is recorded (the checker still
-        // scans the rest of the log: a later chain break or unreadable
-        // chunk outranks the recorded failure).
-        if (replay_worthwhile && !checker.AnyFailure()) {
-          queue.Push(std::move(chunk));
-        }
-        s = to + 1;
+  {
+    WallTimer gate_timer;
+    obs::Span syn_span(obs::kPhaseAuditSyntactic, "audit");
+    obs::Span rsa_span(obs::kPhaseAuditRsaVerify, "audit");
+    auto verify = [&](size_t k) {
+      auth_sig_verdicts[relevant[k]] = auths[relevant[k]].VerifySignature(registry) ? 1 : 0;
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(relevant.size(), verify);
+    } else {
+      for (size_t k = 0; k < relevant.size(); k++) {
+        verify(k);
       }
-    } catch (...) {
-      producer_err = std::current_exception();
     }
-    queue.Close();
-  });
-  PipelineJoinGuard join_guard{&queue, &pool};
+    syn_seconds += gate_timer.ElapsedSeconds();
+  }
+  const bool replay_gate =
+      !relevant.empty() && std::all_of(relevant.begin(), relevant.end(),
+                                       [&](size_t i) { return auth_sig_verdicts[i] == 1; });
 
-  StreamingReplayer replayer(reference_image, cfg.mem_size);
-  replayer.mutable_machine().set_jit_enabled(cfg.jit_replay);
+  // The checker needs the range's prior hash: zero at the head of the
+  // log, the checkpoint's watermark hash on resume, else the stored
+  // hash of entry from-1, which the scan below reads first. In-place
+  // construction for the replayer: it registers itself as the
+  // machine's device backend, so it must never move.
+  std::optional<ChunkedSyntacticChecker> checker;
+  std::optional<StreamingReplayer> replayer;
+  uint64_t scan_from = from;
+  if (scope.resume != nullptr) {
+    checker.emplace(source.node(), from, to, scope.resume->chain_hash, auths, registry, cfg,
+                    auth_sig_verdicts);
+    Reader r(scope.resume->scan_state);
+    checker->RestoreResumableState(r, scope.resume->watermark, scope.resume->auth_hashes);
+    r.ExpectEnd();
+    replayer.emplace(scope.resume->machine);
+    scan_from = scope.resume->watermark + 1;
+  } else {
+    if (from == 1) {
+      checker.emplace(source.node(), from, to, Hash256::Zero(), auths, registry, cfg,
+                      auth_sig_verdicts);
+    }
+    if (full) {
+      replayer.emplace(scope.reference_image, cfg.mem_size);
+    } else {
+      replayer.emplace(*scope.window_start);
+    }
+  }
+  replayer->mutable_machine().set_jit_enabled(cfg.jit_replay);
+
+  const uint64_t chunk_cap = cfg.pipeline_chunk_entries > 0 ? cfg.pipeline_chunk_entries : 2048;
+  const uint64_t cadence = scope.capture ? scope.capture_every : 0;
+  const bool replay_on_pool = pool != nullptr && cfg.pipelined;
+  // Fan a chunk's per-message RSA checks across the pool whenever a
+  // worker is free beyond the one replaying.
+  const bool precompute = pool != nullptr && pool->thread_count() > (replay_on_pool ? 2u : 1u);
+
+  // Everything the replay task touches is declared before `join`, so an
+  // exception unwinding this frame joins the task while they are alive.
+  LogSegment chunk{source.node(), Hash256::Zero(), {}};
+  std::vector<LogEntry> replaying;  // The in-flight task's chunk.
   std::exception_ptr replay_err;
   double sem_seconds = 0;
-  {
-    LogSegment chunk;
-    while (queue.Pop(&chunk)) {
-      if (replay_err != nullptr) {
-        continue;  // Keep draining so the producer never blocks.
-      }
-      // Timed per chunk: time blocked in Pop() waiting for the
-      // producer's syntactic work is not replay cost (symmetric with
-      // the producer's syn_timer).
-      WallTimer sem_timer;
-      obs::Span replay_span(obs::kPhaseAuditReplay, "audit");
-      try {
-        replayer.Feed(chunk.entries);
-      } catch (...) {
-        // A hostile log can make the replayer throw (e.g. an oversized
-        // DMA write). The sequential path only replays after the whole
-        // syntactic check passed, so hold the exception until the
-        // syntactic verdict is known.
-        replay_err = std::current_exception();
-      }
-      sem_seconds += sem_timer.ElapsedSeconds();
+  auto replay = [&](std::span<const LogEntry> entries) {
+    WallTimer sem_timer;
+    obs::Span replay_span(obs::kPhaseAuditReplay, "audit");
+    try {
+      replayer->Feed(entries);
+    } catch (...) {
+      // A hostile log can make the replayer throw (e.g. an oversized
+      // DMA write); hold the exception until the syntactic verdict is
+      // known, since a log that fails it is never replayed.
+      replay_err = std::current_exception();
     }
+    sem_seconds += sem_timer.ElapsedSeconds();
+  };
+
+  ReplayJoin join(pool);
+  uint64_t next = scan_from;  // Seq the next scanned entry should carry.
+  uint64_t chunk_end = 0;
+  uint64_t entry_wire_bytes = 0;
+  uint64_t last_captured = scope.resume != nullptr ? scope.resume->watermark : 0;
+  WallTimer syn_timer;
+  std::optional<obs::Span> syn_span;  // Open while a chunk is read and checked.
+  auto visit = [&](const LogEntry& e) {
+    if (!checker.has_value()) {  // Entry from-1: only its hash is needed.
+      checker.emplace(source.node(), from, to, e.hash, auths, registry, cfg, auth_sig_verdicts);
+      return;
+    }
+    if (chunk.entries.empty()) {
+      syn_timer.Reset();
+      syn_span.emplace(obs::kPhaseAuditSyntactic, "audit");
+      chunk_end = std::min(next + chunk_cap - 1, to);
+      if (cadence > 0) {
+        // End on the next cadence boundary, so captures see checker and
+        // replayer aligned there.
+        chunk_end = std::min(chunk_end, (next + cadence - 1) / cadence * cadence);
+      }
+    }
+    entry_wire_bytes += e.WireSize();
+    chunk.entries.push_back(e);
+    if (next++ < chunk_end) {
+      return;
+    }
+    SigVerdicts smc_verdicts;
+    if (precompute && !checker->AnyFailure()) {
+      smc_verdicts = PrecomputeMessageSigVerdicts(chunk, registry, *pool);
+    }
+    checker->Feed(chunk.entries, smc_verdicts);
+    syn_seconds += syn_timer.ElapsedSeconds();
+    syn_span.reset();
+
+    // Replay's result is discarded on any syntactic failure, so stop
+    // replaying once one is recorded (the scan still reads on: a later
+    // chain break or unreadable entry outranks it).
+    join();
+    if (replay_gate && !checker->AnyFailure() && replay_err == nullptr) {
+      if (replay_on_pool) {
+        std::swap(replaying, chunk.entries);
+        pool->Submit([&] { replay(replaying); });
+        join.Started();
+      } else {
+        replay(chunk.entries);
+      }
+    }
+    chunk.entries.clear();
+
+    if (cadence > 0 && chunk_end % cadence == 0 && chunk_end > last_captured) {
+      join();
+      if (replay_gate && !checker->AnyFailure() && replay_err == nullptr &&
+          replayer->Checkpointable() && scope.capture(chunk_end, *checker, *replayer)) {
+        last_captured = chunk_end;
+      }
+    }
+  };
+  const uint64_t scan_start = checker.has_value() ? scan_from : from - 1;
+  std::optional<CheckResult> unreadable;
+  if (scan_start <= to) {
+    unreadable = ScanRange(source, scan_start, to, visit);
   }
-  pool.Wait();
-  if (producer_err != nullptr) {
-    std::rethrow_exception(producer_err);
+  syn_span.reset();
+  join();
+  if (scope.entries_scanned != nullptr) {
+    *scope.entries_scanned = next - scan_from;
   }
 
   out.syntactic_seconds = syn_seconds;
-  if (have_unreadable) {
-    // Mirrors UnreadableSourceOutcome: no evidence, default semantic.
-    out.syntactic = CheckResult::Fail(std::string("log source unreadable: ") + unreadable);
-    out.ok = false;
+  if (unreadable.has_value()) {
+    out.syntactic = *unreadable;
     return out;
   }
-  // Exact log_bytes of the sequential path: the segment serialization is
-  // a fixed header plus each entry's wire encoding.
-  out.log_bytes = LogSegment{source.node(), Hash256::Zero(), {}}.Serialize().size() +
-                  entry_wire_bytes;
-  // Evidence needs the whole serialized segment; this second read can
-  // hit a store that broke *after* the scan, which must still surface
-  // as an unreadable outcome, not an exception (auditor.h's contract).
-  auto build_evidence = [&](EvidenceKind kind, const std::string& claim) -> bool {
-    Evidence ev;
-    ev.kind = kind;
-    ev.accused = target.id();
-    ev.claim = claim;
-    try {
-      ev.segment = source.Extract(1, last).Serialize();
-    } catch (const std::runtime_error& e) {
-      out.syntactic = CheckResult::Fail(std::string("log source unreadable: ") + e.what());
-      out.semantic = ReplayResult{};
-      out.evidence.reset();
-      out.ok = false;
-      return false;
+  out.log_bytes =
+      LogSegment{source.node(), Hash256::Zero(), {}}.Serialize().size() + entry_wire_bytes;
+  out.syntactic = checker->Finalize();
+  if (out.syntactic.ok) {
+    if (replay_err != nullptr) {
+      std::rethrow_exception(replay_err);
     }
-    for (const Authenticator& a : auths) {
-      ev.auths.push_back(a.Serialize());
-    }
-    ev.mem_size = cfg.mem_size;
-    out.evidence = std::move(ev);
-    return true;
-  };
-
-  out.syntactic = checker.Finalize();
-  if (!out.syntactic.ok) {
-    build_evidence(EvidenceKind::kProtocolViolation, out.syntactic.reason);
-    out.ok = false;
+    WallTimer finish_timer;
+    obs::Span finish_span(obs::kPhaseAuditReplay, "audit");
+    out.semantic = replayer->Finish();
+    out.semantic_seconds = sem_seconds + finish_timer.ElapsedSeconds();
+  }
+  out.ok = out.syntactic.ok && out.semantic.ok;
+  if (out.ok) {
     return out;
   }
-  if (replay_err != nullptr) {
-    std::rethrow_exception(replay_err);
-  }
 
-  WallTimer finish_timer;
-  obs::Span finish_span(obs::kPhaseAuditReplay, "audit");
-  out.semantic = replayer.Finish();
-  out.semantic_seconds = sem_seconds + finish_timer.ElapsedSeconds();
-  finish_span.End();
-  out.ok = out.semantic.ok;
-  if (!out.ok) {
-    build_evidence(EvidenceKind::kReplayDivergence, out.semantic.reason);
+  Evidence ev;
+  ev.kind = out.syntactic.ok ? EvidenceKind::kReplayDivergence : EvidenceKind::kProtocolViolation;
+  ev.accused = target.id();
+  ev.claim = out.syntactic.ok ? out.semantic.reason : out.syntactic.reason;
+  // The scan kept O(chunk) entries; evidence needs the whole range, and
+  // a store that broke since still yields the unreadable outcome.
+  try {
+    ev.segment = source.Extract(from, to).Serialize();
+  } catch (const std::runtime_error& e) {
+    AuditOutcome broken;
+    broken.syntactic = UnreadableResult(e.what());
+    broken.syntactic_seconds = syn_seconds;
+    return broken;
   }
+  for (const Authenticator& a : auths) {
+    ev.auths.push_back(a.Serialize());
+  }
+  ev.mem_size = cfg.mem_size;
+  out.evidence = std::move(ev);
   return out;
 }
 

@@ -1,11 +1,8 @@
-// The pipelined audit (perf layer over §4.5).
+// The audit engine (§4.5): one chunked check-and-replay loop behind
+// every full audit, spot check and checkpointed audit.
 //
-// A full audit has two phases: the syntactic check (hash chain,
-// authenticator RSA, message-stream cross-reference) and the semantic
-// check (deterministic replay). The sequential auditor runs them
-// strictly in order; the pipeline overlaps them — the syntactic check
-// of chunk i+1 runs on a worker while chunk i replays — without
-// changing a single verdict. Two pieces:
+// An audit is one procedure: check the hash chain and the
+// authenticators, check the message stream, then replay. Two pieces:
 //
 //  * ChunkedSyntacticChecker: the whole-segment syntactic check as an
 //    incremental consumer of entry runs. It records every failure
@@ -17,17 +14,17 @@
 //    is bit-for-bit the sequential one even though the scan interleaves
 //    the checks per chunk.
 //
-//  * PipelinedStreamingAuditFull: the store-backed full audit driver.
-//    A pool task extracts chunk after chunk from the SegmentSource
-//    (O(chunk) memory, SegmentCursor-style) and feeds the checker; the
-//    calling thread replays the chunks from a small bounded queue.
-//    Unreadable-source, syntactic and semantic outcomes mirror the
-//    sequential Auditor::AuditFull exactly.
+//  * RunAudit: reads the audited range in one SegmentSource::Scan,
+//    cuts it into chunks, feeds each chunk to the checker and then to a
+//    StreamingReplayer — inline, or on a pool worker while the next
+//    chunk is read and checked (AuditConfig::pipelined) — and assembles
+//    the verdict and evidence once. Verdicts do not depend on the thread
+//    count, the chunk size or the pipelining.
 #ifndef SRC_AUDIT_PIPELINE_H_
 #define SRC_AUDIT_PIPELINE_H_
 
+#include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 
@@ -46,9 +43,9 @@ class ChunkedSyntacticChecker {
   // `auth_sig_verdicts`, when nonempty, is indexed like `auths`:
   // -1 = verify the RSA signature inline when the seq streams by,
   // 0/1 = precomputed invalid/valid (so a caller that already verified
-  // a signature — e.g. the streaming driver's replay gate — does not
-  // pay for it twice). Precomputed values must equal what
-  // VerifySignature would return; verdicts are then identical.
+  // a signature — e.g. RunAudit's replay gate — does not pay for it
+  // twice). Precomputed values must equal what VerifySignature would
+  // return; verdicts are then identical.
   ChunkedSyntacticChecker(const NodeId& node, uint64_t first_seq, uint64_t last_seq,
                           const Hash256& prior_hash, std::span<const Authenticator> auths,
                           const KeyRegistry& registry, const AuditConfig& cfg,
@@ -73,8 +70,10 @@ class ChunkedSyntacticChecker {
   // Chain hash of the last entry fed (h_S): what a checkpoint records
   // as its verified watermark.
   const Hash256& chain_cursor() const { return prior_hash_; }
-  // Seq the next fed entry must carry.
-  uint64_t next_seq() const { return expect_seq_; }
+  // Chain hash at every authenticator seq fed so far (plus those a
+  // restore seeded): lets a resumed audit check authenticators behind
+  // its watermark without reading the prefix again.
+  const std::map<uint64_t, Hash256>& auth_hashes() const { return auth_hashes_; }
 
   // Serializes the streaming scan state (message-stream state machine +
   // attested-input cursor) after feeding entries 1..S; failure slots are
@@ -84,16 +83,13 @@ class ChunkedSyntacticChecker {
   // Restores into a freshly constructed checker whose ctor received the
   // checkpoint's chain hash as `prior_hash`. The checker then behaves
   // as if entries 1..`watermark_seq` (already verified when the
-  // checkpoint was written) had been fed. Throws SerdeError on
-  // malformed input.
-  void RestoreResumableState(Reader& r, uint64_t watermark_seq);
-
-  // Resolves one authenticator whose seq lies at or behind the resume
-  // watermark against `log_hash`, the log's (previously verified) chain
-  // hash at that seq — the same sig + hash checks the entry streaming
-  // by would have triggered, recorded under the same span index, so the
-  // composed verdict is bit-for-bit the from-genesis one.
-  void ResolveAuthBehindWatermark(size_t auth_index, const Hash256& log_hash);
+  // checkpoint was written) had been fed: every covered authenticator
+  // at or behind the watermark is checked against `auth_hashes` (which
+  // must hold its seq), recorded under the same span index, so the
+  // composed verdict is bit-for-bit the from-genesis one. Throws
+  // SerdeError on malformed input.
+  void RestoreResumableState(Reader& r, uint64_t watermark_seq,
+                             const std::map<uint64_t, Hash256>& auth_hashes);
 
  private:
   const AuditConfig cfg_;
@@ -109,6 +105,7 @@ class ChunkedSyntacticChecker {
   // scan reports authenticator failures in).
   std::multimap<uint64_t, size_t> auth_by_seq_;
   bool any_auth_relevant_ = false;
+  std::map<uint64_t, Hash256> auth_hashes_;
 
   // Shared sig + hash check for one authenticator, whether its seq
   // streamed by (Feed) or was resolved behind a resume watermark.
@@ -124,15 +121,56 @@ class ChunkedSyntacticChecker {
   std::optional<AttestedInputScanner> attested_;
 };
 
-// Store-backed full audit with the syntactic check of chunk i+1
-// overlapping the replay of chunk i. Requires pool.thread_count() > 1
-// and source.LastSeq() >= 1; verdicts (including unreadable-source
-// handling and evidence) are identical to the sequential AuditFull.
-AuditOutcome PipelinedStreamingAuditFull(const Avmm& target, const SegmentSource& source,
-                                         ByteView reference_image,
-                                         std::span<const Authenticator> auths,
-                                         const KeyRegistry& registry, const AuditConfig& cfg,
-                                         ThreadPool& pool);
+// Where a checkpointed full audit resumes: entries 1..watermark were
+// verified and replayed by the audit that wrote the checkpoint.
+struct AuditResume {
+  uint64_t watermark = 0;
+  Hash256 chain_hash;         // h_watermark.
+  MaterializedState machine;  // Replayed machine state at the watermark.
+  Bytes scan_state;           // ChunkedSyntacticChecker::SerializeResumableState.
+  std::map<uint64_t, Hash256> auth_hashes;  // Must cover every auth seq <= watermark.
+};
+
+// Called at a capture point with checker and replayer both at `seq`,
+// fully verified and replay-quiescent; returns true once a checkpoint
+// was persisted there.
+using AuditCapture =
+    std::function<bool(uint64_t seq, const ChunkedSyntacticChecker&, const StreamingReplayer&)>;
+
+// What one RunAudit covers.
+struct AuditScope {
+  // A full audit (window_start == nullptr) covers the whole log
+  // [1, LastSeq()] from `reference_image`, cross-references the message
+  // stream strictly, and treats a signed authenticator past the end of
+  // the log as a rewind (§4.3). A window (spot check, §3.5) covers
+  // [from_seq, to_seq] from the verified `window_start` and
+  // cross-references relaxed, since it can begin mid-queue.
+  ByteView reference_image;
+  const MaterializedState* window_start = nullptr;
+  uint64_t from_seq = 1;
+  uint64_t to_seq = 0;
+  // Checkpoints (full audits only): resume after `resume->watermark`,
+  // and call `capture` at every multiple of `capture_every` (chunks end
+  // there). Neither changes a verdict.
+  const AuditResume* resume = nullptr;
+  uint64_t capture_every = 0;
+  AuditCapture capture;
+  // When set, receives the number of entries read past the resume point.
+  uint64_t* entries_scanned = nullptr;
+};
+
+// The audit engine. Checks every authenticator signature up front (the
+// replay gate: a log no covering authenticator vouches for is never
+// replayed), then reads the range once, chunk by chunk
+// (cfg.pipeline_chunk_entries): each chunk goes through the checker and
+// then through the replayer — on a pool worker when `pool` is set and
+// cfg.pipelined, overlapping the next chunk's read and checks. A store
+// that cannot be read yields "log source unreadable" without evidence;
+// a syntactic failure yields kProtocolViolation evidence and a replay
+// divergence kReplayDivergence evidence, each over the whole range.
+AuditOutcome RunAudit(const Avmm& target, const SegmentSource& source,
+                      std::span<const Authenticator> auths, const AuditScope& scope,
+                      const KeyRegistry& registry, AuditConfig cfg, ThreadPool* pool);
 
 }  // namespace avm
 

@@ -72,9 +72,9 @@ class InputAttestor {
 };
 
 // Streaming form of the audit-side check: Feed() entries in log order;
-// the first failure is the scan's verdict. Factored out so the chunked
-// pipelined audit (src/audit/pipeline.h) can run the identical check
-// without materializing the segment.
+// the first failure is the scan's verdict. Factored out so the audit
+// engine's chunked checker (src/audit/pipeline.h) can run the identical
+// check without materializing the segment.
 class AttestedInputScanner {
  public:
   AttestedInputScanner(const NodeId& node, const KeyRegistry& registry);

@@ -1077,6 +1077,10 @@ LogEntry LogStore::ReadEntry(uint64_t seq) const {
 }
 
 SegmentCursor LogStore::Cursor(uint64_t from_seq, uint64_t to_seq) const {
+  return OpenCursor(from_seq, to_seq, /*with_prior=*/true);
+}
+
+SegmentCursor LogStore::OpenCursor(uint64_t from_seq, uint64_t to_seq, bool with_prior) const {
   if (from_seq == 0 || from_seq > to_seq || to_seq > LastSeq()) {
     throw std::out_of_range("LogStore::Cursor: bad range");
   }
@@ -1102,7 +1106,7 @@ SegmentCursor LogStore::Cursor(uint64_t from_seq, uint64_t to_seq) const {
       }
     }
   }
-  if (prior_from_entry) {
+  if (prior_from_entry && with_prior) {
     prior = ReadEntry(from_seq - 1).hash;
   }
   return SegmentCursor(this, std::move(seg_seqs), from_seq, to_seq, prior);
@@ -1124,7 +1128,8 @@ LogSegment LogStore::Extract(uint64_t from_seq, uint64_t to_seq) const {
 }
 
 void LogStore::Scan(uint64_t from_seq, uint64_t to_seq, const EntryVisitor& visit) const {
-  SegmentCursor cur = Cursor(from_seq, to_seq);
+  // A scan needs no prior hash: skip the extra segment load it costs.
+  SegmentCursor cur = OpenCursor(from_seq, to_seq, /*with_prior=*/false);
   while (const LogEntry* e = cur.Next()) {
     if (!visit(*e)) {
       return;

@@ -195,6 +195,9 @@ class LogStore final : public LogSink, public SegmentSource {
  private:
   friend class SegmentCursor;
 
+  // Cursor(), optionally without reading h_{from-1} (Scan needs none).
+  SegmentCursor OpenCursor(uint64_t from_seq, uint64_t to_seq, bool with_prior) const;
+
   enum class Tier { kActive, kRolled, kSealed, kArchived };
 
   struct SegmentState {

@@ -30,8 +30,8 @@ struct CheckResult {
 
 // One link of the chain rule: `e` must carry `expect_seq` and extend
 // `prev` per the hash rule (seq checked first, as every scan does).
-// The single source of truth shared by VerifyChain, the streaming
-// syntactic check and the chunked pipelined checker.
+// The single source of truth shared by VerifyChain and the audit
+// engine's chunked checker (ChunkedSyntacticChecker).
 CheckResult CheckChainLink(const Hash256& prev, uint64_t expect_seq, const LogEntry& e);
 
 // Recomputes the hash chain across the segment: sequence numbers must be

@@ -1,14 +1,18 @@
-// Pipelined-audit parity: AuditConfig::pipelined overlaps the syntactic
-// check with deterministic replay (and, store-backed, streams chunk i+1
-// through the checks while chunk i replays), and every verdict — audit,
-// spot check, evidence, failure reason and seq — must be bit-for-bit
-// the sequential path's at every thread count and chunk size.
+// Audit-engine parity: every audit runs through one chunked
+// check-and-replay loop (src/audit/pipeline.h), and every verdict —
+// audit, spot check, evidence, failure reason and seq — must be
+// bit-for-bit the same at every thread count, chunk size and pipelining
+// setting, and must match an independent oracle composed of the public
+// whole-segment primitives.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 
+#include "src/audit/checkpoint.h"
 #include "src/audit/pipeline.h"
+#include "src/obs/metrics.h"
 #include "src/sim/scenario.h"
 #include "src/store/log_store.h"
 #include "src/util/serde.h"
@@ -37,6 +41,30 @@ void ExpectSameOutcome(const AuditOutcome& a, const AuditOutcome& b, const std::
     EXPECT_EQ(a.evidence->claim, b.evidence->claim) << what;
     EXPECT_EQ(a.evidence->segment, b.evidence->segment) << what;
   }
+}
+
+// The fields an independent oracle can predict: verdicts, failure
+// reasons and seqs, the bytes audited, and the evidence's kind and log.
+void ExpectMatchesOracle(const AuditOutcome& oracle, const AuditOutcome& engine,
+                         const std::string& what) {
+  EXPECT_EQ(oracle.ok, engine.ok) << what;
+  EXPECT_EQ(oracle.syntactic.ok, engine.syntactic.ok) << what;
+  EXPECT_EQ(oracle.syntactic.reason, engine.syntactic.reason) << what;
+  EXPECT_EQ(oracle.syntactic.bad_seq, engine.syntactic.bad_seq) << what;
+  EXPECT_EQ(oracle.semantic.ok, engine.semantic.ok) << what;
+  EXPECT_EQ(oracle.semantic.reason, engine.semantic.reason) << what;
+  EXPECT_EQ(oracle.semantic.diverged_seq, engine.semantic.diverged_seq) << what;
+  EXPECT_EQ(oracle.log_bytes, engine.log_bytes) << what;
+  ASSERT_EQ(oracle.evidence.has_value(), engine.evidence.has_value()) << what;
+  if (oracle.evidence.has_value()) {
+    EXPECT_EQ(static_cast<int>(oracle.evidence->kind), static_cast<int>(engine.evidence->kind))
+        << what;
+    EXPECT_EQ(oracle.evidence->segment, engine.evidence->segment) << what;
+  }
+}
+
+uint64_t JitNativeEnters() {
+  return obs::Registry::Global().GetCounter("avm.jit.native_enters")->Value();
 }
 
 AuditConfig MakeConfig(size_t mem_size, unsigned threads, bool pipelined,
@@ -81,6 +109,62 @@ class VectorSegmentSource final : public SegmentSource {
  private:
   LogSegment seg_;
 };
+
+// Counts how often each seq is read through a source, by Scan and
+// Extract alike (Extract's prior hash is a read of entry from-1).
+class CountingSegmentSource final : public SegmentSource {
+ public:
+  explicit CountingSegmentSource(const SegmentSource& inner) : inner_(inner) {}
+
+  const NodeId& node() const override { return inner_.node(); }
+  uint64_t LastSeq() const override { return inner_.LastSeq(); }
+  LogSegment Extract(uint64_t from_seq, uint64_t to_seq) const override {
+    LogSegment seg = inner_.Extract(from_seq, to_seq);
+    if (from_seq > 1) {
+      reads_[from_seq - 1]++;
+    }
+    for (const LogEntry& e : seg.entries) {
+      reads_[e.seq]++;
+    }
+    return seg;
+  }
+  void Scan(uint64_t from_seq, uint64_t to_seq, const EntryVisitor& visit) const override {
+    inner_.Scan(from_seq, to_seq, [&](const LogEntry& e) {
+      reads_[e.seq]++;
+      return visit(e);
+    });
+  }
+
+  uint64_t Reads(uint64_t seq) const {
+    auto it = reads_.find(seq);
+    return it == reads_.end() ? 0 : it->second;
+  }
+  uint64_t TotalReads() const {
+    uint64_t n = 0;
+    for (const auto& [seq, count] : reads_) {
+      n += count;
+    }
+    return n;
+  }
+
+ private:
+  const SegmentSource& inner_;
+  mutable std::map<uint64_t, uint64_t> reads_;
+};
+
+// Every entry of [from, to] was read exactly `base + 1` times and entry
+// from-1 (the prior hash) at most once beyond `base`, where `base` reads
+// of every entry in the log come from elsewhere (a spot check's
+// snapshot index); nothing else was read.
+void ExpectRangeReadOnce(const CountingSegmentSource& src, uint64_t from, uint64_t to,
+                         const std::string& what, uint64_t base = 0) {
+  for (uint64_t s = from; s <= to; s++) {
+    ASSERT_EQ(src.Reads(s), base + 1) << what << " seq " << s;
+  }
+  const uint64_t prior = from > 1 ? src.Reads(from - 1) - base : 0;
+  EXPECT_LE(prior, 1u) << what;
+  EXPECT_EQ(src.TotalReads(), base * src.LastSeq() + (to - from + 1) + prior) << what;
+}
 
 void Rechain(LogSegment& seg) {
   Hash256 prev = seg.prior_hash;
@@ -142,19 +226,49 @@ class PipelineAuditTest : public ::testing::Test {
     return Authenticator{"solo", seg.LastSeq(), seg.entries.back().hash, {}};
   }
 
-  // Audits `source` with the sequential phases and with the pipeline at
-  // several thread counts / chunk sizes; all outcomes must agree with
-  // the sequential threads=1 baseline. Returns the baseline.
+  // The independent oracle: the public whole-segment primitives in the
+  // paper's order, over one materialized Extract of the log.
+  AuditOutcome OracleAudit(const SegmentSource& source, std::span<const Authenticator> auths) {
+    const AuditConfig cfg = MakeConfig(kMem, 1, false);
+    const LogSegment seg = source.Extract(1, source.LastSeq());
+    AuditOutcome out;
+    out.log_bytes = seg.Serialize().size();
+    out.syntactic = VerifyAgainstAuthenticators(seg, auths, registry_);
+    if (out.syntactic.ok) {
+      out.syntactic = SyntacticMessageCheck(seg, registry_, cfg);
+    }
+    if (out.syntactic.ok && cfg.attested_input) {
+      out.syntactic = VerifyAttestedInputs(seg, registry_);
+    }
+    if (out.syntactic.ok) {
+      out.semantic = ReplaySegment(seg, image_, kMem);
+    }
+    out.ok = out.syntactic.ok && out.semantic.ok;
+    if (!out.ok) {
+      Evidence ev;
+      ev.kind = out.syntactic.ok ? EvidenceKind::kReplayDivergence
+                                 : EvidenceKind::kProtocolViolation;
+      ev.segment = seg.Serialize();
+      out.evidence = std::move(ev);
+    }
+    return out;
+  }
+
+  // Audits `source` at threads=1 and checks it against the oracle, then
+  // sweeps thread counts, chunk sizes and pipelining: every outcome must
+  // agree bit for bit with the threads=1 one. Returns the latter.
   AuditOutcome ExpectParity(const SegmentSource& source, std::span<const Authenticator> auths,
                             const std::string& what) {
     Auditor base("auditor", &registry_, MakeConfig(kMem, 1, false));
     AuditOutcome baseline = base.AuditFull(*node_, source, image_, auths);
-    for (unsigned threads : {2u, 4u}) {
+    ExpectMatchesOracle(OracleAudit(source, auths), baseline, what + " vs oracle");
+    for (unsigned threads : {1u, 2u, 4u}) {
       for (size_t chunk : {size_t{7}, size_t{2048}}) {
         Auditor seq("auditor", &registry_, MakeConfig(kMem, threads, false, chunk));
         Auditor pipe("auditor", &registry_, MakeConfig(kMem, threads, true, chunk));
         ExpectSameOutcome(baseline, seq.AuditFull(*node_, source, image_, auths),
-                          what + " sequential threads=" + std::to_string(threads));
+                          what + " sequential threads=" + std::to_string(threads) +
+                              " chunk=" + std::to_string(chunk));
         ExpectSameOutcome(baseline, pipe.AuditFull(*node_, source, image_, auths),
                           what + " pipelined threads=" + std::to_string(threads) +
                               " chunk=" + std::to_string(chunk));
@@ -246,11 +360,69 @@ TEST_F(PipelineAuditTest, JitReplayVerdictsMatchInterpreter) {
     interp_cfg.jit_replay = false;
     Auditor jit("auditor", &registry_, jit_cfg);
     Auditor interp("auditor", &registry_, interp_cfg);
+    const uint64_t before_jit = JitNativeEnters();
     AuditOutcome jit_out = jit.AuditFull(*node_, source, image_, auths);
+    const uint64_t before_interp = JitNativeEnters();
     AuditOutcome interp_out = interp.AuditFull(*node_, source, image_, auths);
+    // The tiers really differ: the interpreter side never enters JIT
+    // code, the JIT side does wherever the JIT is compiled in.
+    EXPECT_EQ(JitNativeEnters(), before_interp) << c.what;
+    if (Machine::JitCompiledIn()) {
+      EXPECT_GT(before_interp, before_jit) << c.what;
+    }
     ExpectSameOutcome(jit_out, interp_out, std::string("jit-vs-interp ") + c.what);
     EXPECT_EQ(jit_out.ok, c.expect_ok) << c.what << ": " << jit_out.Describe();
   }
+}
+
+TEST_F(PipelineAuditTest, FullAuditReadsEachEntryOnce) {
+  RecordSolo();
+  InMemorySegmentSource mem(node_->log());
+  std::vector<Authenticator> auths = {AuthFor(WholeSegment())};
+  for (unsigned threads : {1u, 2u, 4u}) {
+    for (size_t chunk : {size_t{7}, size_t{2048}}) {
+      const std::string what =
+          "threads=" + std::to_string(threads) + " chunk=" + std::to_string(chunk);
+      CountingSegmentSource counting(mem);
+      Auditor auditor("auditor", &registry_, MakeConfig(kMem, threads, true, chunk));
+      AuditOutcome out = auditor.AuditFull(*node_, counting, image_, auths);
+      ASSERT_TRUE(out.ok) << what << ": " << out.Describe();
+      ExpectRangeReadOnce(counting, 1, counting.LastSeq(), what);
+    }
+  }
+}
+
+TEST_F(PipelineAuditTest, CheckpointedAuditReadsEachEntryOnce) {
+  RecordSolo();
+  InMemorySegmentSource mem(node_->log());
+  std::vector<Authenticator> auths = {AuthFor(WholeSegment())};
+  const std::string dir = (fs::path(::testing::TempDir()) / "avm_pipe_ckpt_reads").string();
+  for (unsigned threads : {1u, 2u, 4u}) {
+    for (size_t chunk : {size_t{7}, size_t{2048}}) {
+      const std::string what =
+          "threads=" + std::to_string(threads) + " chunk=" + std::to_string(chunk);
+      fs::remove_all(dir);
+      CheckpointConfig ckpt;
+      ckpt.every_entries = 16;
+      CheckpointedAuditor auditor("auditor", &registry_, MakeConfig(kMem, threads, true, chunk),
+                                  ckpt);
+      CountingSegmentSource cold_src(mem);
+      ResumeInfo cold;
+      ASSERT_TRUE(auditor.AuditFull(*node_, cold_src, image_, auths, dir, &cold).ok) << what;
+      ASSERT_GT(cold.checkpoints_written, 0u) << what;
+      ExpectRangeReadOnce(cold_src, 1, cold_src.LastSeq(), what + " cold");
+
+      CountingSegmentSource resumed_src(mem);
+      ResumeInfo resumed;
+      ASSERT_TRUE(auditor.AuditFull(*node_, resumed_src, image_, auths, dir, &resumed).ok)
+          << what;
+      ASSERT_TRUE(resumed.resumed) << what << ": " << resumed.reject_reason;
+      // The watermark entry itself is the resumed range's prior hash.
+      ExpectRangeReadOnce(resumed_src, resumed.resumed_from + 1, resumed_src.LastSeq(),
+                          what + " resumed");
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST_F(PipelineAuditTest, BrokenChainFailsIdentically) {
@@ -480,6 +652,100 @@ TEST(PipelineSpotCheck, WindowVerdictsMatchSequentialIncludingCheat) {
     failures += seq[i].ok ? 0 : 1;
   }
   EXPECT_EQ(failures, 1) << "exactly the corrupted window must fail";
+}
+
+class PipelineSpotCheckKv : public ::testing::Test {
+ protected:
+  void Record() {
+    KvScenarioConfig cfg;
+    cfg.run = RunConfig::AvmmNoSig();
+    cfg.seed = 78;
+    cfg.snapshot_interval = 200 * kMicrosPerMilli;
+    cfg.client.op_period_us = 5 * kMicrosPerMilli;
+    mem_size_ = cfg.run.mem_size;
+    kv_ = std::make_unique<KvScenario>(cfg);
+    kv_->Start();
+    kv_->server().SetCheatHook([](Machine& m, SimTime now) {
+      if (now == 500 * kMicrosPerMilli) {
+        m.WriteMem32(kKvTableAddr + 32, 0xbeef);
+      }
+    });
+    kv_->RunFor(kMicrosPerSecond);
+    kv_->Finish();
+    std::vector<SnapshotIndexEntry> snaps = IndexSnapshots(kv_->server().log());
+    ASSERT_GE(snaps.size(), 3u);
+    for (size_t i = 0; i + 1 < snaps.size(); i++) {
+      windows_.emplace_back(snaps[i].meta.snapshot_id, snaps[i + 1].meta.snapshot_id);
+      window_seqs_.emplace_back(snaps[i].seq, snaps[i + 1].seq);
+    }
+    auths_ = kv_->CollectAuthsForServer();
+  }
+
+  AuditConfig Config(unsigned threads, bool pipelined, size_t chunk = 2048) const {
+    return MakeConfig(mem_size_, threads, pipelined, chunk);
+  }
+
+  size_t mem_size_ = 0;
+  std::unique_ptr<KvScenario> kv_;
+  std::vector<std::pair<uint64_t, uint64_t>> windows_;      // Snapshot ids.
+  std::vector<std::pair<uint64_t, uint64_t>> window_seqs_;  // Their seqs.
+  std::vector<Authenticator> auths_;
+};
+
+TEST_F(PipelineSpotCheckKv, JitReplayVerdictsMatchInterpreter) {
+  // Non-pipelined spot checks replay with AuditConfig::jit_replay too.
+  Record();
+  AuditConfig interp_cfg = Config(1, false);
+  interp_cfg.jit_replay = false;
+  Auditor jit("client", &kv_->registry(), Config(1, false));
+  Auditor interp("client", &kv_->registry(), interp_cfg);
+  int failures = 0;
+  uint64_t jit_enters = 0;
+  for (size_t i = 0; i < windows_.size(); i++) {
+    const std::string what = "window " + std::to_string(i);
+    const uint64_t before_jit = JitNativeEnters();
+    AuditOutcome jit_out =
+        jit.SpotCheck(kv_->server(), windows_[i].first, windows_[i].second, auths_);
+    const uint64_t before_interp = JitNativeEnters();
+    jit_enters += before_interp - before_jit;
+    AuditOutcome interp_out =
+        interp.SpotCheck(kv_->server(), windows_[i].first, windows_[i].second, auths_);
+    EXPECT_EQ(JitNativeEnters(), before_interp) << what;
+    ExpectSameOutcome(jit_out, interp_out, what);
+    failures += jit_out.ok ? 0 : 1;
+  }
+  EXPECT_EQ(failures, 1) << "exactly the corrupted window must fail";
+  if (Machine::JitCompiledIn()) {
+    EXPECT_GT(jit_enters, 0u);  // A short window may never get hot enough.
+  }
+}
+
+TEST_F(PipelineSpotCheckKv, SpotCheckReadsEachWindowEntryOnce) {
+  Record();
+  InMemorySegmentSource mem(kv_->server().log());
+  size_t honest = 0;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    for (size_t chunk : {size_t{7}, size_t{2048}}) {
+      Auditor auditor("client", &kv_->registry(), Config(threads, true, chunk));
+      for (size_t i = 0; i < windows_.size(); i++) {
+        const std::string what = "threads=" + std::to_string(threads) +
+                                 " chunk=" + std::to_string(chunk) + " window " +
+                                 std::to_string(i);
+        CountingSegmentSource counting(mem);
+        AuditOutcome out = auditor.SpotCheck(kv_->server(), counting, windows_[i].first,
+                                             windows_[i].second, auths_);
+        if (!out.ok) {
+          continue;  // Evidence re-reads the failed window on purpose.
+        }
+        // The snapshot index reads the whole log once; beyond that, the
+        // window is read once plus its prior-hash entry.
+        ExpectRangeReadOnce(counting, window_seqs_[i].first, window_seqs_[i].second, what,
+                            /*base=*/1);
+        honest++;
+      }
+    }
+  }
+  EXPECT_EQ(honest, 6 * (windows_.size() - 1)) << "exactly the corrupted window fails";
 }
 
 }  // namespace
