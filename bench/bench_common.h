@@ -7,6 +7,7 @@
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -18,9 +19,16 @@
 
 namespace avm {
 
+// Median of `v` (the upper one for an even count); `v` must not be empty.
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 // Machine-readable results: BENCH_<name>.json in the working directory,
-// one {metric, value, unit} row per Add() call, so the perf trajectory
-// can be tracked PR-over-PR without scraping the human-readable tables.
+// one {metric, value, unit} row per Add() call (AddSamples rows also carry
+// n/min/max), so the perf trajectory can be tracked PR-over-PR without
+// scraping the human-readable tables.
 // Written atomically (tmp + rename) so a crashed bench never leaves a
 // truncated JSON for the trajectory scraper to choke on.
 class BenchJson {
@@ -33,6 +41,14 @@ class BenchJson {
 
   void Add(const std::string& metric, double value, const std::string& unit) {
     rows_.push_back({metric, value, unit});
+  }
+
+  // One row for repeated samples of a metric: the value is their median,
+  // with n/min/max alongside.
+  void AddSamples(const std::string& metric, const std::vector<double>& samples,
+                  const std::string& unit) {
+    const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+    rows_.push_back({metric, Median(samples), unit, samples.size(), *lo, *hi});
   }
 
   // Attach the current obs metrics snapshot (and phase aggregates) to
@@ -49,10 +65,16 @@ class BenchJson {
     std::string out = "{\"bench\":\"" + name_ + "\",\"results\":[";
     char row[512];
     for (size_t i = 0; i < rows_.size(); i++) {
-      std::snprintf(row, sizeof(row), "%s{\"metric\":\"%s\",\"value\":%.6g,\"unit\":\"%s\"}",
+      std::snprintf(row, sizeof(row), "%s{\"metric\":\"%s\",\"value\":%.6g,\"unit\":\"%s\"",
                     i == 0 ? "" : ",", rows_[i].metric.c_str(), rows_[i].value,
                     rows_[i].unit.c_str());
       out += row;
+      if (rows_[i].n > 0) {
+        std::snprintf(row, sizeof(row), ",\"n\":%zu,\"min\":%.6g,\"max\":%.6g", rows_[i].n,
+                      rows_[i].min, rows_[i].max);
+        out += row;
+      }
+      out += "}";
     }
     out += "]";
     if (embed_obs_) {
@@ -72,6 +94,9 @@ class BenchJson {
     std::string metric;
     double value;
     std::string unit;
+    size_t n = 0;  // Sample count of an AddSamples row; 0 for Add.
+    double min = 0;
+    double max = 0;
   };
   std::string name_;
   std::vector<Row> rows_;

@@ -6,6 +6,8 @@
 // snapshot cost of the Merkle tree.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bench/bench_common.h"
 #include "src/compress/lzss.h"
 #include "src/crypto/keys.h"
@@ -39,12 +41,27 @@ void BM_ChainAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainAppend);
 
+// The RSA benchmarks cycle through a ring of distinct messages (and, for
+// verify, their signatures) so that data-dependent branches in the
+// bignum code are not trained on one input.
+constexpr size_t kRsaRing = 1024;
+
+std::vector<Bytes> RandomMessages(Prng& rng) {
+  std::vector<Bytes> msgs;
+  for (size_t i = 0; i < kRsaRing; i++) {
+    msgs.push_back(rng.RandomBytes(64));
+  }
+  return msgs;
+}
+
 void BM_RsaSign(benchmark::State& state) {
   Prng rng(3);
   RsaKeypair kp = RsaKeypair::Generate(rng, static_cast<size_t>(state.range(0)));
-  Bytes msg = rng.RandomBytes(64);
+  std::vector<Bytes> msgs = RandomMessages(rng);
+  size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RsaSign(kp.priv, msg));
+    benchmark::DoNotOptimize(RsaSign(kp.priv, msgs[i]));
+    i = (i + 1) % kRsaRing;
   }
 }
 BENCHMARK(BM_RsaSign)->Arg(768)->Arg(2048)->Unit(benchmark::kMicrosecond);
@@ -52,10 +69,15 @@ BENCHMARK(BM_RsaSign)->Arg(768)->Arg(2048)->Unit(benchmark::kMicrosecond);
 void BM_RsaVerify(benchmark::State& state) {
   Prng rng(4);
   RsaKeypair kp = RsaKeypair::Generate(rng, static_cast<size_t>(state.range(0)));
-  Bytes msg = rng.RandomBytes(64);
-  Bytes sig = RsaSign(kp.priv, msg);
+  std::vector<Bytes> msgs = RandomMessages(rng);
+  std::vector<Bytes> sigs;
+  for (const Bytes& msg : msgs) {
+    sigs.push_back(RsaSign(kp.priv, msg));
+  }
+  size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RsaVerify(kp.pub, msg, sig));
+    benchmark::DoNotOptimize(RsaVerify(kp.pub, msgs[i], sigs[i]));
+    i = (i + 1) % kRsaRing;
   }
 }
 BENCHMARK(BM_RsaVerify)->Arg(768)->Arg(2048)->Unit(benchmark::kMicrosecond);

@@ -10,6 +10,8 @@
 // per configuration. The "accountability share" column corresponds to
 // the paper's daemon-hyperthread utilization.
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/audit/replayer.h"
@@ -51,13 +53,38 @@ void Run() {
 
 // Beyond the paper: single-stream replay throughput, the semantic
 // check's fundamental limit (§6.6: replay takes about as long as the
-// original execution). Four tiers: "seed dispatch" is the original
-// per-word-decode switch loop; "decoded cache" is the pre-decoded
-// instruction cache + threaded dispatch; "jit" is the x86-64 dynamic
-// binary translator (src/vm/jit) with direct block chaining and the
-// static analysis hints off (the plain per-block translator);
-// "jit+analysis" adds the src/vm/analysis pass: region fusion across
-// direct jumps and liveness-based dead-writeback elimination.
+// original execution). Three tiers:
+//   - "Step()": the reference interpreter, all that runs with the JIT
+//     off (set_jit_enabled(false), AVM_JIT=OFF and non-x86-64 builds);
+//   - "jit (unhinted)": the x86-64 translator (src/vm/jit) with direct
+//     block chaining over memory seeded by WriteMemRange, the way
+//     spot-check and checkpoint windows start;
+//   - "jit (hinted)": the image loaded with LoadImage, whose static
+//     analysis pass (src/vm/analysis) drives region fusion across
+//     direct jumps and liveness-based dead-writeback elimination.
+// Each row is the median of kReplayReps reps of at least kMinRepSeconds,
+// interleaved across the tiers so host drift hits all three alike.
+struct ReplayTier {
+  const char* name;
+  const char* key;  // JSON metric suffix.
+  bool jit;
+  bool hinted;
+};
+constexpr ReplayTier kReplayTiers[] = {
+    {"Step()", "step", false, true},
+    {"jit (unhinted)", "jit", true, false},
+    {"jit (hinted)", "jit_analysis", true, true},
+};
+constexpr int kNumReplayTiers = 3;
+constexpr int kReplayReps = 5;
+constexpr double kMinRepSeconds = 0.25;
+
+void PrintSamples(const char* name, const std::vector<double>& mips, const char* note) {
+  std::printf("  %-30s %9.1f %9.1f %9.1f%s\n", name, Median(mips),
+              *std::min_element(mips.begin(), mips.end()),
+              *std::max_element(mips.begin(), mips.end()), note);
+}
+
 void RunReplaySpeed(BenchJson& json) {
   Bytes image = Assemble(R"(
     movi r1, 0
@@ -80,53 +107,46 @@ body3:
     bne r1, r0, loop
     halt
   )");
-  constexpr uint64_t kInstructions = 40'000'000;
+  constexpr size_t kMem = 256 * 1024;
+  constexpr uint64_t kChunk = 4'000'000;
   PrintRule();
-  std::printf("  replayed-instructions/sec (single stream, %llu Minsn mixed ALU/mem/branch)\n",
-              static_cast<unsigned long long>(kInstructions / 1'000'000));
-  std::printf("  %-22s %10s %10s\n", "tier", "MIPS", "seconds");
-  struct Tier {
-    const char* name;
-    bool icache;
-    bool jit;
-    bool analysis;
-  };
-  constexpr Tier kTiers[] = {
-      {"seed dispatch", false, false, false},
-      {"decoded cache", true, false, false},
-      {"jit", true, true, false},
-      {"jit+analysis", true, true, true},
-  };
-  constexpr int kNumTiers = 4;
-  double mips[kNumTiers] = {0};
-  for (int tier = 0; tier < kNumTiers; tier++) {
-    NullBackend backend;
-    Machine m(256 * 1024, &backend);
-    m.LoadImage(image);
-    m.set_decoded_cache_enabled(kTiers[tier].icache);
-    m.set_jit_enabled(kTiers[tier].jit);
-    m.set_jit_analysis_enabled(kTiers[tier].analysis);
-    WallTimer t;
-    m.RunUntilIcount(kInstructions);
-    double s = t.ElapsedSeconds();
-    mips[tier] = kInstructions / s / 1e6;
-    std::printf("  %-22s %10.1f %10.3f\n", kTiers[tier].name, mips[tier], s);
+  std::printf("  replayed-instructions/sec (single stream, mixed ALU/mem/branch;\n");
+  std::printf("  median of %d interleaved reps of >=%.2f s)\n", kReplayReps, kMinRepSeconds);
+  std::printf("  %-30s %9s %9s %9s\n", "tier", "MIPS", "min", "max");
+  std::vector<double> mips[kNumReplayTiers];
+  for (int rep = 0; rep < kReplayReps; rep++) {
+    for (int tier = 0; tier < kNumReplayTiers; tier++) {
+      NullBackend backend;
+      Machine m(kMem, &backend);
+      m.set_jit_enabled(kReplayTiers[tier].jit);
+      if (kReplayTiers[tier].hinted) {
+        m.LoadImage(image);
+      } else {
+        m.WriteMemRange(0, image);
+      }
+      WallTimer t;
+      do {
+        m.Run(kChunk);
+      } while (t.ElapsedSeconds() < kMinRepSeconds && !m.cpu().halted);
+      mips[tier].push_back(static_cast<double>(m.cpu().icount) / t.ElapsedSeconds() / 1e6);
+    }
   }
-  std::printf("  decoded-cache speedup: %.2fx (threaded dispatch compiled in: %s)\n",
-              mips[1] / mips[0], Machine::ThreadedDispatchCompiledIn() ? "yes" : "no");
-  std::printf("  jit speedup: %.2fx vs decoded cache, %.2fx vs seed (jit compiled in: %s)\n",
-              mips[2] / mips[1], mips[2] / mips[0], Machine::JitCompiledIn() ? "yes" : "no");
-  std::printf("  analysis-guided jit: %.2fx vs plain jit\n", mips[3] / mips[2]);
-  json.Add("replay_mips_seed_dispatch", mips[0], "Minsn/s");
-  json.Add("replay_mips_decoded_cache", mips[1], "Minsn/s");
-  json.Add("replay_mips_jit", mips[2], "Minsn/s");
-  json.Add("replay_mips_jit_analysis", mips[3], "Minsn/s");
-  json.Add("replay_dispatch_speedup", mips[1] / mips[0], "x");
-  json.Add("replay_jit_vs_threaded_speedup", mips[2] / mips[1], "x");
-  json.Add("replay_jit_analysis_speedup", mips[3] / mips[2], "x");
+  for (int tier = 0; tier < kNumReplayTiers; tier++) {
+    PrintSamples(kReplayTiers[tier].name, mips[tier], "");
+    json.AddSamples(std::string("replay_mips_") + kReplayTiers[tier].key, mips[tier], "Minsn/s");
+  }
+  const double step = Median(mips[0]);
+  const double jit = Median(mips[1]);
+  const double hinted = Median(mips[2]);
+  std::printf("  jit speedup: %.2fx vs Step() (jit compiled in: %s)\n", jit / step,
+              Machine::JitCompiledIn() ? "yes" : "no");
+  std::printf("  analysis hints: %.2fx vs unhinted jit\n", hinted / jit);
+  json.Add("replay_jit_vs_step_speedup", jit / step, "x");
+  json.Add("replay_jit_analysis_speedup", hinted / jit, "x");
 
   // The same comparison through the full record->replay loop: a real
-  // recorded log, replayed by the auditor's StreamingReplayer.
+  // recorded log, replayed by the auditor's StreamingReplayer. A rep
+  // replays the whole log as many times as fit in kMinRepSeconds.
   GameScenarioConfig cfg;
   cfg.run = RunConfig::AvmmNoSig();
   cfg.num_players = 2;
@@ -136,33 +156,43 @@ body3:
   game.RunFor(4 * kMicrosPerSecond);
   game.Finish();
   LogSegment seg = game.server().log().Extract(1, game.server().log().LastSeq());
-  constexpr const char* kAuditNames[kNumTiers] = {"audit replay (seed)", "audit replay (cache)",
-                                                  "audit replay (jit)",
-                                                  "audit replay (jit+an)"};
-  double replay_mips[kNumTiers] = {0};
-  for (int tier = 0; tier < kNumTiers; tier++) {
-    StreamingReplayer r(game.reference_server_image(), cfg.run.mem_size);
-    r.mutable_machine().set_decoded_cache_enabled(kTiers[tier].icache);
-    r.mutable_machine().set_jit_enabled(kTiers[tier].jit);
-    r.mutable_machine().set_jit_analysis_enabled(kTiers[tier].analysis);
-    WallTimer t;
-    r.Feed(seg.entries);
-    ReplayResult res = r.Finish();
-    double s = t.ElapsedSeconds();
-    replay_mips[tier] = res.instructions_replayed / s / 1e6;
-    std::printf("  %-22s %10.1f %10.3f  (recorded server log, %s)\n", kAuditNames[tier],
-                replay_mips[tier], s, res.ok ? "PASS" : "FAIL");
+  MaterializedState start;
+  start.memory = game.reference_server_image();
+  start.memory.resize(cfg.run.mem_size, 0);
+  std::vector<double> replay_mips[kNumReplayTiers];
+  bool replay_ok[kNumReplayTiers] = {true, true, true};
+  for (int rep = 0; rep < kReplayReps; rep++) {
+    for (int tier = 0; tier < kNumReplayTiers; tier++) {
+      uint64_t instructions = 0;
+      WallTimer t;
+      do {
+        std::optional<StreamingReplayer> r;
+        if (kReplayTiers[tier].hinted) {
+          r.emplace(game.reference_server_image(), cfg.run.mem_size);
+        } else {
+          r.emplace(start);
+        }
+        r->mutable_machine().set_jit_enabled(kReplayTiers[tier].jit);
+        r->Feed(seg.entries);
+        ReplayResult res = r->Finish();
+        replay_ok[tier] = replay_ok[tier] && res.ok;
+        instructions += res.instructions_replayed;
+      } while (t.ElapsedSeconds() < kMinRepSeconds);
+      replay_mips[tier].push_back(static_cast<double>(instructions) / t.ElapsedSeconds() / 1e6);
+    }
   }
-  std::printf("  audit replay speedup: cache %.2fx, jit %.2fx, jit+analysis %.2fx vs seed\n",
-              replay_mips[1] / replay_mips[0], replay_mips[2] / replay_mips[0],
-              replay_mips[3] / replay_mips[0]);
-  json.Add("audit_replay_mips_seed", replay_mips[0], "Minsn/s");
-  json.Add("audit_replay_mips_cache", replay_mips[1], "Minsn/s");
-  json.Add("audit_replay_mips_jit", replay_mips[2], "Minsn/s");
-  json.Add("audit_replay_mips_jit_analysis", replay_mips[3], "Minsn/s");
-  json.Add("audit_replay_speedup", replay_mips[1] / replay_mips[0], "x");
-  json.Add("audit_replay_jit_speedup", replay_mips[2] / replay_mips[0], "x");
-  json.Add("audit_replay_jit_analysis_speedup", replay_mips[3] / replay_mips[0], "x");
+  for (int tier = 0; tier < kNumReplayTiers; tier++) {
+    const std::string name = std::string("audit replay, ") + kReplayTiers[tier].name;
+    PrintSamples(name.c_str(), replay_mips[tier],
+                 replay_ok[tier] ? "  (recorded server log, PASS)" : "  (recorded server log, FAIL)");
+    json.AddSamples(std::string("audit_replay_mips_") + kReplayTiers[tier].key, replay_mips[tier],
+                    "Minsn/s");
+  }
+  const double audit_step = Median(replay_mips[0]);
+  std::printf("  audit replay speedup vs Step(): jit %.2fx, hinted jit %.2fx\n",
+              Median(replay_mips[1]) / audit_step, Median(replay_mips[2]) / audit_step);
+  json.Add("audit_replay_jit_speedup", Median(replay_mips[1]) / audit_step, "x");
+  json.Add("audit_replay_jit_analysis_speedup", Median(replay_mips[2]) / audit_step, "x");
 }
 
 // Telemetry must be free when off and near-free when on: the same

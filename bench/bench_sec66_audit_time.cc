@@ -127,8 +127,9 @@ void Run(BenchJson& json) {
   json.Add("shape_replay_near_execution", replay_near_exec ? 1 : 0, "bool");
 
   // The semantic check re-run per replay tier: the JIT (the default
-  // AuditFull path above) vs the decoded-cache interpreter. The verdict
-  // must match in both — only the wall clock moves.
+  // AuditFull path above) vs the Step() reference interpreter that
+  // JIT-off builds replay on. The verdict must match in both — only the
+  // wall clock moves.
   PrintRule();
   std::printf("  semantic check by replay tier (same server log):\n");
   double tier_s[2] = {0, 0};
@@ -141,7 +142,7 @@ void Run(BenchJson& json) {
     ReplayResult res = r.Finish();
     tier_s[jit_on] = t.ElapsedSeconds();
     tier_ok[jit_on] = res.ok;
-    std::printf("  %-26s %10.3f s  (%s)\n", jit_on ? "replay with jit" : "replay interpreter",
+    std::printf("  %-26s %10.3f s  (%s)\n", jit_on ? "replay with jit" : "replay with Step()",
                 tier_s[jit_on], res.ok ? "PASS" : "FAIL");
   }
   std::printf("  audit-time jit speedup: %.2fx, verdicts identical: %s\n",

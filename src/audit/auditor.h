@@ -49,7 +49,7 @@ struct AuditConfig {
   size_t pipeline_chunk_entries = 2048;
   // Run the semantic check (deterministic replay) through the x86-64
   // JIT tier where compiled in (src/vm/jit). Off replays on the
-  // decoded-cache interpreter. Verdicts are bit-for-bit identical
+  // Step() reference interpreter. Verdicts are bit-for-bit identical
   // either way (asserted by pipeline_audit_test); only replay wall
   // clock changes.
   bool jit_replay = true;

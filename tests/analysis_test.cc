@@ -358,18 +358,20 @@ TEST(Verifier, ShippedGuestImagesAreClean) {
 
 // --- Analysis-guided JIT equivalence -----------------------------------
 //
-// Lockstep three ways: analysis-guided JIT vs plain (PR 9) JIT vs the
-// decoded-cache interpreter. Architectural state must be bit-identical
-// at every quantum boundary regardless of fusion/dead-write decisions.
+// Lockstep three ways: analysis-guided JIT vs plain per-block JIT vs the
+// Step() reference interpreter. Architectural state must be
+// bit-identical at every quantum boundary regardless of fusion/dead-
+// write decisions. The guided machine loads its image with LoadImage,
+// which builds the hints; the plain one seeds memory with WriteMemRange,
+// the unhinted path spot-check and checkpoint windows take.
 
 void ExpectGuidedJitAgrees(const Bytes& image, const std::vector<uint64_t>& quanta,
                            const std::vector<std::pair<int, uint32_t>>& irqs_at_quantum = {}) {
   NullBackend b0, b1, b2;
   Machine guided(kMem, &b0), plain(kMem, &b1), interp(kMem, &b2);
-  plain.set_jit_analysis_enabled(false);
   interp.set_jit_enabled(false);
   guided.LoadImage(image);
-  plain.LoadImage(image);
+  plain.WriteMemRange(0, image);
   interp.LoadImage(image);
   for (size_t q = 0; q < quanta.size(); q++) {
     for (const auto& [at, cause] : irqs_at_quantum) {
@@ -423,9 +425,8 @@ TEST(AnalysisJit, FusionActuallyHappensAndPlainJitHasNone) {
   Bytes image = Assemble(kTrampolineLoop);
   NullBackend b0, b1;
   Machine guided(kMem, &b0), plain(kMem, &b1);
-  plain.set_jit_analysis_enabled(false);
   guided.LoadImage(image);
-  plain.LoadImage(image);
+  plain.WriteMemRange(0, image);
   guided.Run(20000);
   plain.Run(20000);
   ASSERT_NE(guided.jit_stats(), nullptr);
@@ -464,7 +465,7 @@ TEST(AnalysisJit, StaticSelfModifyingGuestAgrees) {
   if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
   // The statically-visible patch (la + sw into code) pre-arms the
   // self-mod page, and execution stays bit-identical through the
-  // rewrite. Same guest shape as machine_test's decoded-cache case.
+  // rewrite. Same guest shape as machine_test's self-modifying case.
   Bytes image = Assemble(R"(
     movi r1, 0
     movi r2, 0
@@ -567,23 +568,34 @@ TEST(AnalysisJit, CoverageCountersPopulate) {
   EXPECT_GT(exec->Sum() - exec_sum0, exec->Count() - exec0);
 }
 
-TEST(AnalysisJit, ToggleMidRunReanalyzesAndAgrees) {
+TEST(AnalysisJit, ReloadMidRunReanalyzesAndAgrees) {
   if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
-  Bytes image = Assemble(kTrampolineLoop);
+  // LoadImage over a running guest flushes its translations and marks
+  // the hints stale; the next JIT entry re-analyzes the new image and
+  // fuses its regions again. The replacement has the same layout, so
+  // the guest carries on mid-loop in the new code.
+  std::string second = kTrampolineLoop;
+  second.replace(second.find("add r3, r1"), 10, "sub r3, r1");
   NullBackend b0, b1;
-  Machine toggled(kMem, &b0), interp(kMem, &b1);
-  interp.set_jit_enabled(false);
-  toggled.LoadImage(image);
-  interp.LoadImage(image);
-  bool on = false;
+  Machine guided(kMem, &b0), step(kMem, &b1);
+  step.set_jit_enabled(false);
+  guided.LoadImage(Assemble(kTrampolineLoop));
+  step.LoadImage(Assemble(kTrampolineLoop));
+  uint64_t fused_before_reload = 0;
   for (int q = 0; q < 12; q++) {
-    toggled.set_jit_analysis_enabled(on);
-    on = !on;
-    RunExit et = toggled.Run(250);
-    RunExit ei = interp.Run(250);
-    ASSERT_EQ(et, ei);
-    ASSERT_TRUE(toggled.cpu() == interp.cpu()) << "state differs at quantum " << q;
+    if (q == 6) {
+      ASSERT_NE(guided.jit_stats(), nullptr);
+      fused_before_reload = guided.jit_stats()->regions_fused;
+      guided.LoadImage(Assemble(second));
+      step.LoadImage(Assemble(second));
+    }
+    RunExit eg = guided.Run(250);
+    RunExit es = step.Run(250);
+    ASSERT_EQ(eg, es);
+    ASSERT_TRUE(guided.cpu() == step.cpu()) << "state differs at quantum " << q;
   }
+  EXPECT_GT(fused_before_reload, 0u);
+  EXPECT_GT(guided.jit_stats()->regions_fused, fused_before_reload);
 }
 
 // --- Auditor pre-audit pass (AuditConfig::verify_image) ----------------

@@ -417,54 +417,58 @@ TEST(Machine, HostMem32BoundsCheckDoesNotWrap) {
 
 TEST(Machine, GuestMem32AtTopOfAddressSpaceFaults) {
   for (const char* op : {"lw r2, [r1]", "sw r2, [r1]"}) {
-    for (bool cache : {false, true}) {
+    for (bool jit : {false, true}) {
       NullBackend backend;
       Machine m(kMem, &backend);
-      m.set_decoded_cache_enabled(cache);
+      m.set_jit_enabled(jit);
       m.LoadImage(Assemble(std::string("la r1, 0xFFFFFFFC\n ") + op + "\n halt"));
-      EXPECT_EQ(m.Run(10), RunExit::kFault) << op << " cache=" << cache;
+      EXPECT_EQ(m.Run(10), RunExit::kFault) << op << " jit=" << jit;
       EXPECT_TRUE(m.faulted());
     }
   }
 }
 
-// --- Decoded-cache / threaded-dispatch equivalence ---------------------
+// --- JIT vs Step() equivalence -----------------------------------------
 //
-// The fast path (decoded cache + threaded dispatch) must retire
-// bit-for-bit the architectural state of the original per-word-decode
-// Step() loop, which stays reachable via set_decoded_cache_enabled(false).
+// The JIT tier must retire bit-for-bit the architectural state of the
+// Step() reference interpreter, which is what set_jit_enabled(false)
+// runs. Where the JIT is not compiled in both machines run Step(), so
+// the MachineEquivalence cases still execute (trivially agreeing) and
+// the MachineJit cases skip.
 
-// Runs the same image on both paths in lockstep quanta and compares the
+// Runs the same image on both tiers in lockstep quanta and compares the
 // full architectural state, fault status and memory.
-void ExpectBothPathsAgree(const Bytes& image, const std::vector<uint64_t>& quanta,
-                          const std::vector<std::pair<int, uint32_t>>& irqs_at_quantum = {}) {
+void ExpectJitMatchesStep(const Bytes& image, const std::vector<uint64_t>& quanta,
+                          const std::vector<std::pair<int, uint32_t>>& irqs_at_quantum = {},
+                          bool harden_wx = false) {
   NullBackend b0, b1;
-  Machine fast(kMem, &b0), slow(kMem, &b1);
-  fast.LoadImage(image);
-  slow.LoadImage(image);
-  slow.set_decoded_cache_enabled(false);
+  Machine jit(kMem, &b0), step(kMem, &b1);
+  jit.set_jit_harden_wx(harden_wx);
+  step.set_jit_enabled(false);
+  jit.LoadImage(image);
+  step.LoadImage(image);
   for (size_t q = 0; q < quanta.size(); q++) {
     for (const auto& [at, cause] : irqs_at_quantum) {
       if (static_cast<size_t>(at) == q) {
-        fast.RaiseIrq(cause);
-        slow.RaiseIrq(cause);
+        jit.RaiseIrq(cause);
+        step.RaiseIrq(cause);
       }
     }
-    RunExit ef = fast.Run(quanta[q]);
-    RunExit es = slow.Run(quanta[q]);
-    ASSERT_EQ(ef, es) << "exit differs at quantum " << q;
-    ASSERT_TRUE(fast.cpu() == slow.cpu()) << "cpu state differs at quantum " << q;
-    ASSERT_EQ(fast.faulted(), slow.faulted());
-    ASSERT_EQ(fast.fault_reason(), slow.fault_reason());
-    ASSERT_EQ(fast.ReadMemRange(0, kMem), slow.ReadMemRange(0, kMem))
+    RunExit ej = jit.Run(quanta[q]);
+    RunExit es = step.Run(quanta[q]);
+    ASSERT_EQ(ej, es) << "exit differs at quantum " << q;
+    ASSERT_TRUE(jit.cpu() == step.cpu()) << "cpu state differs at quantum " << q;
+    ASSERT_EQ(jit.faulted(), step.faulted());
+    ASSERT_EQ(jit.fault_reason(), step.fault_reason());
+    ASSERT_EQ(jit.ReadMemRange(0, kMem), step.ReadMemRange(0, kMem))
         << "memory differs at quantum " << q;
   }
 }
 
-TEST(MachineEquivalence, SelfModifyingCodeInvalidatesDecodedCache) {
+TEST(MachineEquivalence, SelfModifyingCodeAgrees) {
   // The guest overwrites the instruction at `patch:` (addi r1, 1 ->
   // addi r1, 5) after 3 loop iterations, then keeps running it; a stale
-  // decoded cache would keep executing the old increment.
+  // translation would keep executing the old increment.
   Bytes image = Assemble(R"(
     movi r1, 0
     movi r2, 0
@@ -482,7 +486,7 @@ cont:
     bne r2, r4, loop
     halt
   )");
-  ExpectBothPathsAgree(image, {5, 7, 200});
+  ExpectJitMatchesStep(image, {5, 7, 200});
   // And the final value proves the rewrite took effect: 3 iterations of
   // +1, then 7 of +5.
   NullBackend b;
@@ -492,33 +496,10 @@ cont:
   EXPECT_EQ(m.cpu().regs[1], 3u + 7u * 5u);
 }
 
-TEST(MachineEquivalence, IrqHeavyExecutionAgrees) {
-  Bytes image = Assemble(R"(
-    jmp main
-    jmp irqh
-irqh:
-    in r5, IRQ_CAUSE
-    add r6, r5
-    iret
-main:
-    movi r6, 0
-    ei
-loop:
-    addi r7, 1
-    jmp loop
-  )");
-  std::vector<uint64_t> quanta(40, 13);  // Odd quantum: IRQs land mid-loop.
-  std::vector<std::pair<int, uint32_t>> irqs;
-  for (int q = 0; q < 40; q += 3) {
-    irqs.emplace_back(q, q % 2 == 0 ? kIrqNetRx : kIrqInput);
-  }
-  ExpectBothPathsAgree(image, quanta, irqs);
-}
-
 TEST(MachineEquivalence, RandomProgramSweepAgrees) {
   // Random instruction soup: mostly valid opcodes (including stores that
   // hit the program's own pages), some garbage. Every program must
-  // retire identically on both paths, faults and all.
+  // retire identically on both tiers, faults and all.
   constexpr uint8_t kOps[] = {0x00, 0x01, 0x10, 0x11, 0x12, 0x13, 0x20, 0x21, 0x22, 0x23,
                               0x24, 0x25, 0x26, 0x27, 0x28, 0x29, 0x2a, 0x2b, 0x2c, 0x2d,
                               0x30, 0x31, 0x32, 0x33, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45,
@@ -535,47 +516,14 @@ TEST(MachineEquivalence, RandomProgramSweepAgrees) {
       PutU32(image, Encode(static_cast<Op>(op), static_cast<uint8_t>(rng.Next() % 16),
                            static_cast<uint8_t>(rng.Next() % 16), imm));
     }
-    ExpectBothPathsAgree(image, {257, 1000, 1});
+    ExpectJitMatchesStep(image, {257, 1000, 1});
   }
 }
 
-// --- JIT tier equivalence ----------------------------------------------
+// --- JIT translator edges ---------------------------------------------
 //
-// Note ExpectBothPathsAgree above already drives the JIT: its `fast`
-// machine is a default-constructed Machine, and the JIT tier is on by
-// default where compiled in. The tests below pin the JIT against the
-// decoded-cache tier specifically (so a shared bug in Step() cannot
-// mask a translator bug) and probe the translator's own edges: icount
-// landmarks inside a translated block, page invalidation, and the W^X
-// cache mode.
-
-// Lockstep compare: JIT tier vs decoded-cache interpreter tier.
-void ExpectJitMatchesInterpreter(const Bytes& image, const std::vector<uint64_t>& quanta,
-                                 const std::vector<std::pair<int, uint32_t>>& irqs_at_quantum = {},
-                                 bool harden_wx = false) {
-  NullBackend b0, b1;
-  Machine jit(kMem, &b0), interp(kMem, &b1);
-  jit.set_jit_harden_wx(harden_wx);
-  interp.set_jit_enabled(false);
-  jit.LoadImage(image);
-  interp.LoadImage(image);
-  for (size_t q = 0; q < quanta.size(); q++) {
-    for (const auto& [at, cause] : irqs_at_quantum) {
-      if (static_cast<size_t>(at) == q) {
-        jit.RaiseIrq(cause);
-        interp.RaiseIrq(cause);
-      }
-    }
-    RunExit ej = jit.Run(quanta[q]);
-    RunExit ei = interp.Run(quanta[q]);
-    ASSERT_EQ(ej, ei) << "exit differs at quantum " << q;
-    ASSERT_TRUE(jit.cpu() == interp.cpu()) << "cpu state differs at quantum " << q;
-    ASSERT_EQ(jit.faulted(), interp.faulted());
-    ASSERT_EQ(jit.fault_reason(), interp.fault_reason());
-    ASSERT_EQ(jit.ReadMemRange(0, kMem), interp.ReadMemRange(0, kMem))
-        << "memory differs at quantum " << q;
-  }
-}
+// icount landmarks inside a translated block, interrupts at landmarks,
+// page invalidation, and the W^X cache mode.
 
 constexpr char kJitHotLoop[] = R"(
     movi r1, 0
@@ -589,12 +537,12 @@ loop:
     halt
 )";
 
-TEST(MachineJit, HotLoopMatchesInterpreterAtOddQuanta) {
+TEST(MachineJit, HotLoopMatchesStepAtOddQuanta) {
   if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
   // Quanta chosen so landmarks land at every offset inside the 5-insn
   // translated block, including repeated single-step stops.
   std::vector<uint64_t> quanta = {1, 3, 257, 64, 1000, 1, 1, 1, 2, 5000, 7, 4000};
-  ExpectJitMatchesInterpreter(Assemble(kJitHotLoop), quanta);
+  ExpectJitMatchesStep(Assemble(kJitHotLoop), quanta);
 }
 
 TEST(MachineJit, MidBlockIcountStopIsExact) {
@@ -614,7 +562,7 @@ TEST(MachineJit, MidBlockIcountStopIsExact) {
     ASSERT_EQ(m.RunUntilIcount(target), RunExit::kIcountReached);
     ASSERT_EQ(m.cpu().icount, target);
   }
-  ExpectJitMatchesInterpreter(Assemble(body), std::vector<uint64_t>(100, 1));
+  ExpectJitMatchesStep(Assemble(body), std::vector<uint64_t>(100, 1));
 }
 
 TEST(MachineJit, IrqAtLandmarksAgrees) {
@@ -638,7 +586,7 @@ loop:
   for (int q = 0; q < 40; q += 3) {
     irqs.emplace_back(q, q % 2 == 0 ? kIrqNetRx : kIrqInput);
   }
-  ExpectJitMatchesInterpreter(image, quanta, irqs);
+  ExpectJitMatchesStep(image, quanta, irqs);
 }
 
 TEST(MachineJit, SelfModifyingCodeInvalidatesTranslations) {
@@ -662,7 +610,7 @@ cont:
     bne r2, r4, loop
     halt
   )");
-  ExpectJitMatchesInterpreter(image, {50, 301, 99, 2000});
+  ExpectJitMatchesStep(image, {50, 301, 99, 2000});
 
   NullBackend b;
   Machine m(kMem, &b);
@@ -708,7 +656,7 @@ TEST(MachineJit, PageStraddlingTerminatorInvalidates) {
       "done:\n"
       "    halt\n";
   Bytes image = Assemble(src);
-  ExpectJitMatchesInterpreter(image, {50, 120, 57, 1000, 1000});
+  ExpectJitMatchesStep(image, {50, 120, 57, 1000, 1000});
 
   NullBackend b;
   Machine m(kMem, &b);
@@ -751,7 +699,7 @@ TEST(MachineJit, PageAlignedSingleJumpBlockInvalidates) {
       "done:\n"
       "    halt\n";
   Bytes image = Assemble(src);
-  ExpectJitMatchesInterpreter(image, {150, 77, 1000, 1000});
+  ExpectJitMatchesStep(image, {150, 77, 1000, 1000});
 
   NullBackend b;
   Machine m(kMem, &b);
@@ -764,7 +712,7 @@ TEST(MachineJit, PageAlignedSingleJumpBlockInvalidates) {
   EXPECT_GT(stats->blocks_invalidated, 0u);
 }
 
-TEST(MachineJit, RandomProgramSweepJitVsDecodedCache) {
+TEST(MachineJit, RandomProgramSweepJitVsStep) {
   if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
   constexpr uint8_t kOps[] = {0x00, 0x01, 0x10, 0x11, 0x12, 0x13, 0x20, 0x21, 0x22, 0x23,
                               0x24, 0x25, 0x26, 0x27, 0x28, 0x29, 0x2a, 0x2b, 0x2c, 0x2d,
@@ -782,32 +730,71 @@ TEST(MachineJit, RandomProgramSweepJitVsDecodedCache) {
       PutU32(image, Encode(static_cast<Op>(op), static_cast<uint8_t>(rng.Next() % 16),
                            static_cast<uint8_t>(rng.Next() % 16), imm));
     }
-    ExpectJitMatchesInterpreter(image, {257, 1000, 1, 3});
+    ExpectJitMatchesStep(image, {257, 1000, 1, 3});
   }
 }
 
 TEST(MachineJit, HardenedWxModeAgrees) {
   if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
-  ExpectJitMatchesInterpreter(Assemble(kJitHotLoop), {257, 5000, 1, 4000},
+  ExpectJitMatchesStep(Assemble(kJitHotLoop), {257, 5000, 1, 4000},
                               /*irqs_at_quantum=*/{}, /*harden_wx=*/true);
 }
 
-TEST(MachineJit, DisableMidRunFlushesAndStaysEquivalent) {
+TEST(MachineJit, ToggleMidRunStaysEquivalent) {
   if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
   NullBackend b0, b1;
-  Machine toggled(kMem, &b0), interp(kMem, &b1);
-  interp.set_jit_enabled(false);
+  Machine toggled(kMem, &b0), step(kMem, &b1);
+  step.set_jit_enabled(false);
   Bytes image = Assemble(kJitHotLoop);
   toggled.LoadImage(image);
-  interp.LoadImage(image);
+  step.LoadImage(image);
   for (int q = 0; q < 12; q++) {
     toggled.set_jit_enabled(q % 3 != 2);  // On, on, off, on, on, off...
     toggled.Run(701);
-    interp.Run(701);
-    ASSERT_TRUE(toggled.cpu() == interp.cpu()) << "quantum " << q;
-    ASSERT_EQ(toggled.ReadMemRange(0, kMem), interp.ReadMemRange(0, kMem));
+    step.Run(701);
+    ASSERT_TRUE(toggled.cpu() == step.cpu()) << "quantum " << q;
+    ASSERT_EQ(toggled.ReadMemRange(0, kMem), step.ReadMemRange(0, kMem));
   }
   EXPECT_FALSE(toggled.faulted());
+}
+
+TEST(MachineJit, StepStoreWhileDisabledDropsTranslations) {
+  if (!Machine::JitCompiledIn()) GTEST_SKIP() << "JIT not compiled in";
+  // Disabling the JIT keeps its translations; the guest then patches
+  // its translated loop through a Step()-retired store, and the
+  // re-enabled JIT must not run the stale block.
+  Bytes image = Assemble(R"(
+    movi r1, 0
+    movi r2, 0
+    la r3, patch
+    la r4, 200
+loop:
+patch:
+    addi r1, 1
+    addi r2, 1
+    movi r5, 100
+    bne r2, r5, cont
+    la r6, 0x2b100005   ; addi r1, 5
+    sw r6, [r3]
+cont:
+    bne r2, r4, loop
+    halt
+  )");
+  NullBackend b0, b1;
+  Machine toggled(kMem, &b0), step(kMem, &b1);
+  step.set_jit_enabled(false);
+  toggled.LoadImage(image);
+  step.LoadImage(image);
+  // Iteration 100 (the patch) retires near icount 500.
+  for (uint64_t quantum : {300, 400, 10000}) {
+    toggled.set_jit_enabled(quantum != 400);
+    toggled.Run(quantum);
+    step.Run(quantum);
+    ASSERT_TRUE(toggled.cpu() == step.cpu()) << "quantum " << quantum;
+  }
+  EXPECT_EQ(toggled.cpu().regs[1], 100u + 100u * 5u);
+  ASSERT_NE(toggled.jit_stats(), nullptr);
+  EXPECT_GT(toggled.jit_stats()->blocks_invalidated, 0u);
 }
 
 }  // namespace

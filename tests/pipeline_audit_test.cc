@@ -327,8 +327,8 @@ TEST_F(PipelineAuditTest, TamperedTraceValueFailsSemanticallyIdentically) {
 
 TEST_F(PipelineAuditTest, JitReplayVerdictsMatchInterpreter) {
   // The semantic check through the JIT tier (AuditConfig::jit_replay,
-  // the default) must produce the bit-for-bit outcome of the
-  // decoded-cache interpreter — on an honest log and, more importantly,
+  // the default) must produce the bit-for-bit outcome of the Step()
+  // reference interpreter — on an honest log and, more importantly,
   // on a tampered one, where the divergence seq and evidence must not
   // move between tiers.
   RecordSolo();
