@@ -104,6 +104,36 @@ class BenchJson {
   bool embed_obs_ = false;
 };
 
+// Telemetry overhead from interleaved off/on pairs. `run()` does one
+// identical run and returns its seconds; telemetry is switched off or
+// on around it. Pairs alternate which side goes first, so host drift and
+// warm-up hit both sides alike. Prints the median of the per-pair
+// overheads with their min and max, and adds them to `json` as
+// telemetry_overhead_pct. Leaves telemetry off.
+inline constexpr int kOverheadPairs = 9;
+
+template <typename Fn>
+void MeasureTelemetryOverhead(BenchJson& json, Fn&& run) {
+  std::vector<double> secs[2];
+  std::vector<double> pct;  // Per pair: 100 * (on - off) / off.
+  for (int pair = 0; pair < kOverheadPairs; pair++) {
+    for (int k = 0; k < 2; k++) {
+      const int on = (pair + k) % 2;
+      obs::SetEnabled(on != 0);
+      obs::ResetTrace();
+      secs[on].push_back(run());
+    }
+    pct.push_back(100.0 * (secs[1].back() - secs[0].back()) / secs[0].back());
+  }
+  obs::SetEnabled(false);
+  const auto [lo, hi] = std::minmax_element(pct.begin(), pct.end());
+  std::printf("  %-26s %10.3f s  (median)\n", "obs off", Median(secs[0]));
+  std::printf("  %-26s %10.3f s  (median)\n", "obs on", Median(secs[1]));
+  std::printf("  overhead: %+.2f%% median of %d interleaved pairs (min %+.2f%%, max %+.2f%%)\n",
+              Median(pct), kOverheadPairs, *lo, *hi);
+  json.AddSamples("telemetry_overhead_pct", pct, "%");
+}
+
 // The paper's five evaluation configurations (Figure 5/6/7's x-axis).
 inline std::vector<RunConfig> PaperConfigs() {
   return {RunConfig::BareHw(), RunConfig::VmNoRec(), RunConfig::VmRec(), RunConfig::AvmmNoSig(),

@@ -74,11 +74,14 @@ void Run() {
   // Figure 3's equivalent-plain-log line.
   std::map<EntryType, uint64_t> plain_by_type;
   uint64_t total = 0;
+  uint64_t non_trace_content = 0;  // Message, ack, snapshot and info entries.
   for (const LogEntry& e : log.entries()) {
     total += e.WireSize();
     if (e.type == EntryType::kTraceTime || e.type == EntryType::kTraceMac ||
         e.type == EntryType::kTraceOther) {
       plain_by_type[e.type] += e.content.size() + 13;
+    } else {
+      non_trace_content += e.content.size();
     }
   }
 
@@ -99,8 +102,8 @@ void Run() {
   row("tamper-evident logging", tamper);
   PrintRule();
   row("total (uncompressed)", total);
-  std::printf("\n  replay info share: %.1f%% (paper: >70%%)\n",
-              100.0 * static_cast<double>(replay) / static_cast<double>(total));
+  const double replay_share = 100.0 * static_cast<double>(replay) / static_cast<double>(total);
+  std::printf("\n  replay info share: %.1f%% (paper: >70%%)\n", replay_share);
   std::printf("  TimeTracker share of replay info: %.1f%% (paper: dominant)\n",
               100.0 * static_cast<double>(tt) / static_cast<double>(replay));
 
@@ -114,8 +117,26 @@ void Run() {
               static_cast<double>(raw.size()) / static_cast<double>(vmm.size()));
   std::printf("    compressed growth:            %8.1f KB/min (paper: 8 -> 2.47 MB/min)\n",
               vmm.size() / 1024.0 / minutes);
-  std::printf("  shape check vs paper: replay info dominates the log; the custom\n");
-  std::printf("  VMM-aware stage beats generic compression.\n");
+  // The paper's two claims, checked rather than asserted.
+  if (replay_share > 50.0) {
+    std::printf("  shape check vs paper: replay info dominates the log: holds (%.1f%%).\n",
+                replay_share);
+  } else {
+    std::printf("  shape check vs paper: KNOWN DEVIATION: replay info is %.1f%% of the\n",
+                replay_share);
+    std::printf("  log, not the dominant part: per-entry chain hashes and headers take\n");
+    std::printf("  %.1f%% and message, ack and snapshot entries %.1f%%.\n",
+                100.0 * static_cast<double>(tamper - non_trace_content) /
+                    static_cast<double>(total),
+                100.0 * static_cast<double>(non_trace_content) / static_cast<double>(total));
+  }
+  if (vmm.size() < generic.size()) {
+    std::printf("  shape check vs paper: the VMM-aware stage beats generic compression:\n");
+    std::printf("  holds.\n");
+  } else {
+    std::printf("  shape check vs paper: KNOWN DEVIATION: the VMM-aware stage does not beat\n");
+    std::printf("  generic compression here.\n");
+  }
 }
 
 }  // namespace

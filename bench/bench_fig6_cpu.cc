@@ -5,25 +5,52 @@
 // stays below 8% while the single-threaded game renders flat out; total
 // CPU averages ~12.5% of the 8-hyperthread machine.
 //
-// Here the equivalent split is the wall time each AVMM spends in guest
-// execution vs. trace recording vs. signing/verification vs. snapshots,
-// per configuration. The "accountability share" column corresponds to
-// the paper's daemon-hyperthread utilization.
+// Here the equivalent split is one player's record-path ledger
+// (src/obs/trace.h) per configuration: guest execution as self time,
+// trace recording, RSA signing and verification, transport log appends
+// and snapshots. Trace recording, signing and log appends that PortOut
+// runs from inside the guest are charged to their own phases, not also
+// to guest execution. The "accountability share" column (everything but
+// guest execution) corresponds to the paper's daemon-hyperthread
+// utilization.
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/audit/replayer.h"
+#include "src/obs/trace.h"
 #include "src/sim/scenario.h"
 #include "src/vm/assembler.h"
 
 namespace avm {
 namespace {
 
-void Run() {
-  std::printf("  %-14s %8s %8s %8s %8s %16s\n", "config", "exec(s)", "rec(s)", "crypto(s)",
-              "snap(s)", "accountability%");
+double TotalNanos(const obs::LedgerTotals& t) {
+  double total = 0;
+  for (uint64_t ns : t.ns) {
+    total += static_cast<double>(ns);
+  }
+  return std::max(total, 1.0);
+}
+
+// Everything but guest execution, as a share of the record path.
+double AccountabilityShare(const obs::LedgerTotals& t) {
+  const double exec = static_cast<double>(t.ns[static_cast<size_t>(obs::RecordPhase::kExec)]);
+  return 100.0 * (TotalNanos(t) - exec) / TotalNanos(t);
+}
+
+void Run(BenchJson& json) {
+  std::printf("  seconds per phase, self time; exec excludes the regions nested in it\n");
+  std::printf("  %-14s", "config");
+  for (const char* name : obs::kRecordPhaseNames) {
+    std::printf(" %10s", name);
+  }
+  std::printf(" %16s\n", "accountability%");
+  double worst_share = 0;
+  std::string worst_config;
+  obs::LedgerTotals worst_split;
   for (const RunConfig& run : PaperConfigs()) {
     GameScenarioConfig cfg;
     cfg.run = run;
@@ -31,24 +58,52 @@ void Run() {
     cfg.seed = 6;
     GameScenario game(cfg);
     game.Start();
+    const obs::RecordLedger ledger(game.player_id(0));
+    const obs::LedgerTotals before = ledger.Totals();
     game.RunFor(8 * kMicrosPerSecond);
     game.Finish();
+    const obs::LedgerTotals split = ledger.Totals() - before;
 
-    const Avmm& p = game.player(0);
-    double exec = p.exec_seconds();
-    double rec = p.record_seconds();
-    double crypto = p.crypto_seconds();
-    double snap = p.snapshot_seconds();
-    double overhead = rec + crypto + snap;
-    double share = 100.0 * overhead / (exec + overhead);
-    std::printf("  %-14s %8.3f %8.3f %8.3f %8.3f %15.1f%%\n", run.Name(), exec, rec, crypto, snap,
-                share);
+    std::printf("  %-14s", run.Name());
+    for (size_t i = 0; i < obs::kNumRecordPhases; i++) {
+      std::printf(" %10.3f", static_cast<double>(split.ns[i]) / 1e9);
+    }
+    const double share = AccountabilityShare(split);
+    std::printf(" %15.1f%%\n", share);
+    json.Add(std::string("accountability_share_pct_") + run.Name(), share, "%");
+    if (share >= worst_share) {
+      worst_share = share;
+      worst_config = run.Name();
+      worst_split = split;
+    }
   }
   PrintRule();
-  std::printf("  shape check vs paper: guest execution dominates in every config;\n");
-  std::printf("  the accountability machinery (the paper's logging daemon, <8%% of\n");
-  std::printf("  one hyperthread) stays a small fraction of total CPU, largest in\n");
-  std::printf("  avmm-rsa768 where per-packet signatures are added.\n");
+  const double worst_total = TotalNanos(worst_split);
+  std::printf("  where a record second goes in %s:\n ", worst_config.c_str());
+  for (size_t i = 0; i < obs::kNumRecordPhases; i++) {
+    std::printf(" %s %.1f%%", obs::kRecordPhaseNames[i],
+                100.0 * static_cast<double>(worst_split.ns[i]) / worst_total);
+  }
+  std::printf("\n");
+
+  // The paper's claim, checked rather than asserted: the logging daemon
+  // stays under 8% of one hyperthread.
+  const bool under_8pct = worst_share < 8.0;
+  if (under_8pct) {
+    std::printf("  shape check vs paper: the accountability machinery stays under 8%%\n");
+    std::printf("  of the record path in every config: holds (worst %.1f%%, %s).\n", worst_share,
+                worst_config.c_str());
+  } else {
+    std::printf("  shape check vs paper: KNOWN DEVIATION: the accountability machinery\n");
+    std::printf("  takes %.1f%% of the record path in %s (paper: <8%% of one hyperthread).\n",
+                worst_share, worst_config.c_str());
+    std::printf("  It runs inline on the guest's thread, and the simulated guest executes\n");
+    std::printf("  only %u instructions per simulated us, so each message's fixed hashing\n",
+                RunConfig().ips_per_us);
+    std::printf("  and RSA cost is large against the guest work it accompanies.\n");
+  }
+  json.Add("accountability_share_pct_max", worst_share, "%");
+  json.Add("shape_accountability_under_8pct", under_8pct ? 1 : 0, "bool");
 }
 
 // Beyond the paper: single-stream replay throughput, the semantic
@@ -200,13 +255,11 @@ body3:
 // bit-identical serialized log (verdict/wire equivalence) and stay
 // under the <2% overhead budget CI asserts on telemetry_overhead_pct.
 void RunTelemetryOverhead(BenchJson& json) {
-  constexpr int kReps = 3;
   PrintRule();
-  std::printf("  telemetry overhead: identical recording run, obs off vs on (min of %d)\n",
-              kReps);
-  auto run_once = [&](bool on, Bytes* wire) {
-    obs::SetEnabled(on);
-    obs::ResetTrace();
+  std::printf("  telemetry overhead: identical recording run, obs off vs on\n");
+  Bytes first_wire;
+  bool identical = true;
+  MeasureTelemetryOverhead(json, [&] {
     GameScenarioConfig cfg;
     cfg.run = RunConfig::AvmmRsa768();
     cfg.num_players = 2;
@@ -217,27 +270,16 @@ void RunTelemetryOverhead(BenchJson& json) {
     game.RunFor(4 * kMicrosPerSecond);
     double s = t.ElapsedSeconds();
     game.Finish();
-    LogSegment seg = game.server().log().Extract(1, game.server().log().LastSeq());
-    *wire = seg.Serialize();
-    return s;
-  };
-  double best[2] = {1e99, 1e99};
-  Bytes wire[2];
-  for (int on = 0; on < 2; on++) {
-    for (int rep = 0; rep < kReps; rep++) {
-      Bytes w;
-      best[on] = std::min(best[on], run_once(on != 0, &w));
-      wire[on] = std::move(w);
+    Bytes wire = game.server().log().Extract(1, game.server().log().LastSeq()).Serialize();
+    if (first_wire.empty()) {
+      first_wire = std::move(wire);
+    } else {
+      identical = identical && wire == first_wire;
     }
-  }
-  obs::SetEnabled(false);
-  const bool identical = wire[0] == wire[1];
-  const double pct = 100.0 * (best[1] - best[0]) / best[0];
-  std::printf("  %-26s %10.3f s\n", "obs off", best[0]);
-  std::printf("  %-26s %10.3f s  (%+.2f%%)\n", "obs on", best[1], pct);
-  std::printf("  serialized server log bit-identical: %s (%zu bytes)\n",
-              identical ? "yes" : "NO (BUG)", wire[0].size());
-  json.Add("telemetry_overhead_pct", pct, "%");
+    return s;
+  });
+  std::printf("  serialized server log bit-identical across all %d runs: %s (%zu bytes)\n",
+              2 * kOverheadPairs, identical ? "yes" : "NO (BUG)", first_wire.size());
   json.Add("telemetry_log_identical", identical ? 1 : 0, "bool");
 }
 
@@ -248,8 +290,8 @@ int main() {
   avm::PrintHeader("Figure 6: CPU utilization split per configuration",
                    "logging daemon <8% of one HT; machine average ~12.5%");
   avm::PrintScaleNote();
-  avm::Run();
   avm::BenchJson json("fig6_cpu");
+  avm::Run(json);
   avm::RunReplaySpeed(json);
   avm::RunTelemetryOverhead(json);
   return 0;

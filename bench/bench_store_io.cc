@@ -157,33 +157,35 @@ void Run() {
   // Telemetry on/off: the full append+seal path must lay down
   // bit-identical bytes on disk and stay under the <2% overhead budget
   // CI asserts on telemetry_overhead_pct (store spans fire per group
-  // commit / per seal, never per entry).
-  constexpr int kObsReps = 3;
-  double sweep_best[2] = {1e99, 1e99};
-  uint64_t sweep_disk[2] = {0, 0};
-  for (int on = 0; on < 2; on++) {
-    obs::SetEnabled(on != 0);
-    obs::ResetTrace();
-    for (int rep = 0; rep < kObsReps; rep++) {
-      auto s2 = FreshStore(base + "-obs", log.owner(), true);
-      WallTimer t;
-      for (const LogEntry& e : log.entries()) {
-        s2->Append(e);
-      }
-      s2->Seal();
-      sweep_best[on] = std::min(sweep_best[on], t.ElapsedSeconds());
-      sweep_disk[on] = s2->DiskBytes();
+  // commit / per seal, never per entry). Sealing runs inline and the
+  // flusher's timer is off, so every span lands on the timed thread and
+  // no background thread's scheduling jitters the comparison.
+  LogStoreOptions obs_opts;
+  obs_opts.seal_threshold_bytes = 1u << 20;
+  obs_opts.sync = false;
+  obs_opts.sealer_threads = 0;
+  obs_opts.group_commit.max_delay_ms = 0;
+  uint64_t disk_bytes = 0;
+  bool disk_identical = true;
+  std::printf("\n  telemetry overhead (append + inline seal), obs off vs on:\n");
+  MeasureTelemetryOverhead(json, [&] {
+    fs::remove_all(base + "-obs");
+    auto s2 = LogStore::Open(base + "-obs", log.owner(), obs_opts);
+    WallTimer t;
+    for (const LogEntry& e : log.entries()) {
+      s2->Append(e);
     }
-  }
-  obs::SetEnabled(false);
-  const bool disk_identical = sweep_disk[0] == sweep_disk[1];
-  const double overhead_pct = 100.0 * (sweep_best[1] - sweep_best[0]) / sweep_best[0];
-  std::printf("\n  telemetry overhead (append+seal, min of %d): off %.3fs, on %.3fs (%+.2f%%)\n",
-              kObsReps, sweep_best[0], sweep_best[1], overhead_pct);
-  std::printf("  disk bytes identical with telemetry on: %s (%llu bytes)\n",
-              disk_identical ? "yes" : "NO (BUG)",
-              static_cast<unsigned long long>(sweep_disk[0]));
-  json.Add("telemetry_overhead_pct", overhead_pct, "%");
+    s2->Seal();
+    const double s = t.ElapsedSeconds();
+    if (disk_bytes == 0) {
+      disk_bytes = s2->DiskBytes();
+    } else {
+      disk_identical = disk_identical && s2->DiskBytes() == disk_bytes;
+    }
+    return s;
+  });
+  std::printf("  disk bytes identical across all %d runs: %s (%llu bytes)\n", 2 * kOverheadPairs,
+              disk_identical ? "yes" : "NO (BUG)", static_cast<unsigned long long>(disk_bytes));
   json.Add("telemetry_disk_identical", disk_identical ? 1 : 0, "bool");
 
   fs::remove_all(base + "-raw");

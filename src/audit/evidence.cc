@@ -2,6 +2,7 @@
 
 #include "src/audit/auditor.h"
 #include "src/audit/replayer.h"
+#include "src/avmm/attested_input.h"
 #include "src/avmm/snapshot.h"
 #include "src/tel/verifier.h"
 #include "src/util/serde.h"
@@ -115,11 +116,18 @@ EvidenceVerdict VerifyEvidence(const Evidence& evidence, const KeyRegistry& regi
     return verdict;
   }
 
-  // Repeat the syntactic message check.
+  // Repeat the syntactic checks. The message cross-reference uses
+  // RunAudit's rule: strict only for a segment that starts at the head
+  // of the log, since a window's first DMA deliveries may match RECVs
+  // logged before it. A node with a registered input device must have
+  // attested every input it consumed (§7.2), as its auditor checked.
   AuditConfig cfg;
   cfg.mem_size = evidence.mem_size;
-  cfg.strict_message_crossref = evidence.snapshot_deltas.empty();
+  cfg.strict_message_crossref = !segment.entries.empty() && segment.entries.front().seq == 1;
   CheckResult syntactic = SyntacticMessageCheck(segment, registry, cfg);
+  if (syntactic.ok && registry.Knows(InputDeviceId(evidence.accused))) {
+    syntactic = VerifyAttestedInputs(segment, registry);
+  }
   if (!syntactic.ok) {
     verdict.fault_confirmed = true;
     verdict.detail = "protocol violation confirmed: " + syntactic.reason + " at seq " +

@@ -10,7 +10,6 @@
 
 #include "src/avmm/recorder.h"
 #include "src/chaos/fault_plan.h"
-#include "src/obs/export.h"
 #include "src/obs/trace.h"
 #include "src/util/threadpool.h"
 
@@ -195,14 +194,7 @@ void FleetAuditService::Rehabilitate(const NodeId& node) {
   work_cv_.notify_all();
 }
 
-uint64_t FleetAuditService::NowUs() const {
-  if (cfg_.clock) {
-    return cfg_.clock();
-  }
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
+uint64_t FleetAuditService::NowUs() const { return cfg_.clock ? cfg_.clock() : obs::NowMicros(); }
 
 uint64_t FleetAuditService::NextDueLocked() const {
   uint64_t due = std::numeric_limits<uint64_t>::max();
@@ -233,17 +225,6 @@ std::optional<FleetJobResult> FleetAuditService::Result(uint64_t job_id) const {
   return it->second;
 }
 
-std::vector<FleetJobResult> FleetAuditService::ResultsFor(const NodeId& node) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  std::vector<FleetJobResult> out;
-  for (const auto& [id, r] : results_) {
-    if (r.node == node) {
-      out.push_back(r);
-    }
-  }
-  return out;
-}
-
 FleetStats FleetAuditService::stats() const {
   // Compatibility view over this instance's registry counters. No mu_:
   // counter reads are atomic, and the legacy contract was only ever a
@@ -272,26 +253,6 @@ FleetStats FleetAuditService::stats() const {
     s.last_error = last_error_;
   }
   return s;
-}
-
-std::string FleetAuditService::MetricsPrometheus() const {
-  return obs::PrometheusText(obs::Registry::Global().Snapshot());
-}
-
-std::string FleetAuditService::MetricsSnapshotJson() const {
-  return obs::SnapshotJson();
-}
-
-bool FleetAuditService::ExportPrometheus(const std::string& path, std::string* error) const {
-  return obs::WritePrometheus(path, error);
-}
-
-bool FleetAuditService::ExportSnapshotJson(const std::string& path, std::string* error) const {
-  return obs::WriteSnapshotJson(path, error);
-}
-
-bool FleetAuditService::ExportChromeTrace(const std::string& path, std::string* error) const {
-  return obs::WriteChromeTrace(path, error);
 }
 
 bool FleetAuditService::PickJob(Auditee** auditee, Job* job, bool* degraded,
@@ -378,7 +339,6 @@ FleetJobResult FleetAuditService::RunJob(Auditee& auditee, const Job& job) {
   r.node = reg.node;
   r.type = job.type;
   r.priority = job.priority;
-  WallTimer timer;
   obs::Span span(obs::kPhaseFleetService, "fleet");
   switch (job.type) {
     case FleetJobType::kFullAudit: {
@@ -414,8 +374,7 @@ FleetJobResult FleetAuditService::RunJob(Auditee& auditee, const Job& job) {
       break;
     }
   }
-  span.End();
-  r.seconds = timer.ElapsedSeconds();
+  r.seconds = span.End();
   obs_.service_us[static_cast<int>(job.type)]->Record(
       static_cast<uint64_t>(r.seconds * 1e6));
   return r;

@@ -239,16 +239,8 @@ class FleetAuditService {
   void Drain();
 
   std::optional<FleetJobResult> Result(uint64_t job_id) const;
-  std::vector<FleetJobResult> ResultsFor(const NodeId& node) const;
   // Compatibility view: rebuilt from this instance's registry counters.
   FleetStats stats() const;
-
-  // Telemetry exporters (process-wide registry + trace buffer).
-  std::string MetricsPrometheus() const;
-  std::string MetricsSnapshotJson() const;
-  bool ExportPrometheus(const std::string& path, std::string* error = nullptr) const;
-  bool ExportSnapshotJson(const std::string& path, std::string* error = nullptr) const;
-  bool ExportChromeTrace(const std::string& path, std::string* error = nullptr) const;
 
  private:
   struct Job {

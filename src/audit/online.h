@@ -20,20 +20,6 @@ enum class OnlinePollStatus {
   kTargetRewound,  // The target log *shrank* below the consumed prefix.
 };
 
-inline const char* OnlinePollStatusName(OnlinePollStatus s) {
-  switch (s) {
-    case OnlinePollStatus::kIdle:
-      return "idle";
-    case OnlinePollStatus::kAdvanced:
-      return "advanced";
-    case OnlinePollStatus::kDiverged:
-      return "diverged";
-    case OnlinePollStatus::kTargetRewound:
-      return "target-rewound";
-  }
-  return "?";
-}
-
 class OnlineAuditor {
  public:
   // Follows `target_log` (the auditee's live log), replaying from the

@@ -329,7 +329,6 @@ AuditOutcome RunAudit(const Avmm& target, const SegmentSource& source,
   }
   double syn_seconds = 0;
   {
-    WallTimer gate_timer;
     obs::Span syn_span(obs::kPhaseAuditSyntactic, "audit");
     obs::Span rsa_span(obs::kPhaseAuditRsaVerify, "audit");
     auto verify = [&](size_t k) {
@@ -342,7 +341,8 @@ AuditOutcome RunAudit(const Avmm& target, const SegmentSource& source,
         verify(k);
       }
     }
-    syn_seconds += gate_timer.ElapsedSeconds();
+    rsa_span.End();
+    syn_seconds += syn_span.End();
   }
   const bool replay_gate =
       !relevant.empty() && std::all_of(relevant.begin(), relevant.end(),
@@ -391,7 +391,6 @@ AuditOutcome RunAudit(const Avmm& target, const SegmentSource& source,
   std::exception_ptr replay_err;
   double sem_seconds = 0;
   auto replay = [&](std::span<const LogEntry> entries) {
-    WallTimer sem_timer;
     obs::Span replay_span(obs::kPhaseAuditReplay, "audit");
     try {
       replayer->Feed(entries);
@@ -401,7 +400,7 @@ AuditOutcome RunAudit(const Avmm& target, const SegmentSource& source,
       // known, since a log that fails it is never replayed.
       replay_err = std::current_exception();
     }
-    sem_seconds += sem_timer.ElapsedSeconds();
+    sem_seconds += replay_span.End();
   };
 
   ReplayJoin join(pool);
@@ -409,7 +408,6 @@ AuditOutcome RunAudit(const Avmm& target, const SegmentSource& source,
   uint64_t chunk_end = 0;
   uint64_t entry_wire_bytes = 0;
   uint64_t last_captured = scope.resume != nullptr ? scope.resume->watermark : 0;
-  WallTimer syn_timer;
   std::optional<obs::Span> syn_span;  // Open while a chunk is read and checked.
   auto visit = [&](const LogEntry& e) {
     if (!checker.has_value()) {  // Entry from-1: only its hash is needed.
@@ -417,7 +415,6 @@ AuditOutcome RunAudit(const Avmm& target, const SegmentSource& source,
       return;
     }
     if (chunk.entries.empty()) {
-      syn_timer.Reset();
       syn_span.emplace(obs::kPhaseAuditSyntactic, "audit");
       chunk_end = std::min(next + chunk_cap - 1, to);
       if (cadence > 0) {
@@ -436,7 +433,7 @@ AuditOutcome RunAudit(const Avmm& target, const SegmentSource& source,
       smc_verdicts = PrecomputeMessageSigVerdicts(chunk, registry, *pool);
     }
     checker->Feed(chunk.entries, smc_verdicts);
-    syn_seconds += syn_timer.ElapsedSeconds();
+    syn_seconds += syn_span->End();
     syn_span.reset();
 
     // Replay's result is discarded on any syntactic failure, so stop
@@ -485,10 +482,9 @@ AuditOutcome RunAudit(const Avmm& target, const SegmentSource& source,
     if (replay_err != nullptr) {
       std::rethrow_exception(replay_err);
     }
-    WallTimer finish_timer;
     obs::Span finish_span(obs::kPhaseAuditReplay, "audit");
     out.semantic = replayer->Finish();
-    out.semantic_seconds = sem_seconds + finish_timer.ElapsedSeconds();
+    out.semantic_seconds = sem_seconds + finish_span.End();
   }
   out.ok = out.syntactic.ok && out.semantic.ok;
   if (out.ok) {

@@ -214,7 +214,6 @@ void StreamingReplayer::Pump() {
 }
 
 ReplayResult StreamingReplayer::Feed(std::span<const LogEntry> entries) {
-  WallTimer timer;
   for (const LogEntry& entry : entries) {
     if (!result_.ok) {
       break;
@@ -256,7 +255,6 @@ ReplayResult StreamingReplayer::Feed(std::span<const LogEntry> entries) {
     }
   }
   Pump();
-  result_.replay_seconds += timer.ElapsedSeconds();
   result_.replay_icount = machine_.cpu().icount;
   result_.instructions_replayed = machine_.cpu().icount - start_icount_;
   return result_;

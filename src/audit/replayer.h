@@ -30,7 +30,6 @@ struct ReplayResult {
   uint64_t diverged_seq = 0;   // Log entry where the divergence surfaced.
   uint64_t replay_icount = 0;  // Machine icount at the end of replay.
   uint64_t instructions_replayed = 0;
-  double replay_seconds = 0;
 
   static ReplayResult Fail(std::string why, uint64_t seq, uint64_t icount) {
     ReplayResult r;
@@ -67,7 +66,6 @@ class StreamingReplayer : public DeviceBackend {
   // unapplied events — so (cpu, memory) captures it completely and a
   // replayer resumed from that MaterializedState continues bit-for-bit.
   bool Checkpointable() const { return result_.ok && pending_.empty() && !finished_; }
-  uint64_t replayed_icount() const { return machine_.cpu().icount; }
   const Machine& machine() const { return machine_; }
   // For replay-time analysis (§7.5): attach an InstructionObserver.
   Machine& mutable_machine() { return machine_; }
@@ -95,7 +93,6 @@ class StreamingReplayer : public DeviceBackend {
   std::deque<PendingItem> pending_;
   ReplayResult result_;
   bool finished_ = false;
-  WallTimer total_timer_;
   uint64_t start_icount_ = 0;
 };
 

@@ -35,7 +35,6 @@ class AsyncSignPipeline {
     auto& reg = obs::Registry::Global();
     const obs::Labels labels{{"node", std::string(node_)}};
     queue_depth_ = reg.GetGauge("signer_queue_depth", labels);
-    sign_us_ = reg.GetHistogram("signer_sign_us", labels);
     signed_counter_ = reg.GetCounter("signer_signed_total", labels);
   }
 
@@ -64,18 +63,13 @@ class AsyncSignPipeline {
       a.hash = hash;
       {
         obs::Span span(obs::kPhaseSignerSign, "signer");
-        const uint64_t t0 = obs::Enabled() ? obs::NowMicros() : 0;
         a.signature = signer_->SignDigest(Authenticator::SignedPayloadDigest(node_, seq, hash));
-        if (t0 != 0) {
-          sign_us_->Record(obs::NowMicros() - t0);
-        }
       }
       signed_counter_->Inc();
       std::lock_guard<std::mutex> g(mu_);
       done_.push_back(std::move(a));
       inflight_--;
       queue_depth_->Set(static_cast<int64_t>(inflight_));
-      signed_total_++;
     });
   }
 
@@ -88,11 +82,6 @@ class AsyncSignPipeline {
   // Blocks until every enqueued signature has been produced.
   void Barrier() { pool_.Wait(); }
 
-  uint64_t signed_total() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return signed_total_;
-  }
-
  private:
   NodeId node_;
   const Signer* signer_;
@@ -100,11 +89,9 @@ class AsyncSignPipeline {
   mutable std::mutex mu_;
   std::vector<Authenticator> done_;
   size_t inflight_ = 0;
-  uint64_t signed_total_ = 0;
   // Registry-owned telemetry (stable pointers; signer metrics survive
   // the pipeline because async signers are per-run, metrics per-node).
   obs::Gauge* queue_depth_ = nullptr;
-  obs::Histogram* sign_us_ = nullptr;
   obs::Counter* signed_counter_ = nullptr;
   ThreadPool pool_;
 };

@@ -18,7 +18,8 @@ Avmm::Avmm(NodeId id, RunConfig cfg, ByteView image, const Signer* signer, SimNe
       machine_(cfg.mem_size, this),
       log_(id_),
       snapshot_mgr_(&snapshot_store_),
-      rng_(rng_seed) {
+      rng_(rng_seed),
+      ledger_(id_) {
   if (cfg_.TamperEvident() && signer == nullptr) {
     throw std::invalid_argument("Avmm: accountable mode requires a signer");
   }
@@ -33,8 +34,7 @@ Avmm::Avmm(NodeId id, RunConfig cfg, ByteView image, const Signer* signer, SimNe
     // Snapshot 0: the agreed-upon initial image (its Merkle root is the
     // first commitment in the log, so auditors can check the player
     // actually started from the reference image).
-    SnapshotMeta meta = snapshot_mgr_.Take(machine_, 0);
-    log_.Append(EntryType::kSnapshot, meta.Serialize());
+    TakeSnapshot(0);
   }
   RegisterObsMetrics();
 }
@@ -52,10 +52,6 @@ void Avmm::RegisterObsMetrics() {
   pub("avmm_clock_reads", &stats_.clock_reads);
   pub("avmm_clock_reads_delayed", &stats_.clock_reads_delayed);
   pub("avmm_trace_events", &stats_.trace_events);
-  obs_handles_.push_back(reg.RegisterCallbackGauge(
-      "avmm_exec_ms", ls, [this] { return static_cast<int64_t>(exec_seconds_ * 1e3); }));
-  obs_handles_.push_back(reg.RegisterCallbackGauge(
-      "avmm_record_ms", ls, [this] { return static_cast<int64_t>(record_seconds_ * 1e3); }));
 }
 
 Avmm::~Avmm() = default;
@@ -279,13 +275,12 @@ void Avmm::RecordEvent(TraceEvent e) {
   if (!cfg_.RecordsTrace()) {
     return;
   }
-  WallTimer timer;
+  obs::LedgerTimer timer(&ledger_, obs::RecordPhase::kTrace);
   Bytes ser = e.Serialize();
   vmware_equiv_bytes_ += ser.size() + kPlainEntryHeader;
   if (cfg_.TamperEvident()) {
     log_.Append(ClassifyTraceEvent(e), std::move(ser));
   }
-  record_seconds_ += timer.ElapsedSeconds();
 }
 
 RunExit Avmm::RunQuantum(SimTime now, SimTime quantum_us) {
@@ -296,12 +291,12 @@ RunExit Avmm::RunQuantum(SimTime now, SimTime quantum_us) {
   }
   DeliverPendingRx(machine_);
 
-  WallTimer timer;
   // Drive the machine to the icount aligned with the end of this
   // quantum. If a clock stall overshot into this quantum, the machine is
   // already past the target and simply does not execute (it is stalled).
-  RunExit exit = machine_.RunUntilIcount((now + quantum_us) * cfg_.ips_per_us);
-  exec_seconds_ += timer.ElapsedSeconds();
+  RunExit exit = ledger_.Time(obs::RecordPhase::kExec, [&] {
+    return machine_.RunUntilIcount((now + quantum_us) * cfg_.ips_per_us);
+  });
 
   transport_->Tick(now + quantum_us);
 
@@ -340,6 +335,7 @@ SnapshotMeta Avmm::TakeSnapshot(SimTime now) {
   if (!cfg_.TamperEvident()) {
     throw std::logic_error("Avmm::TakeSnapshot: snapshots require accountable mode");
   }
+  obs::LedgerTimer timer(&ledger_, obs::RecordPhase::kSnapshot);
   SnapshotMeta meta = snapshot_mgr_.Take(machine_, now);
   log_.Append(EntryType::kSnapshot, meta.Serialize());
   last_snapshot_time_ = now;

@@ -22,6 +22,7 @@
 #include "src/avmm/snapshot.h"
 #include "src/avmm/transport.h"
 #include "src/net/network.h"
+#include "src/obs/trace.h"
 #include "src/tel/log.h"
 #include "src/tel/verifier.h"
 #include "src/util/prng.h"
@@ -122,12 +123,6 @@ class Avmm : public DeviceBackend {
   // MAC entries (Figure 3's "equivalent VMware log" line).
   uint64_t vmware_equiv_bytes() const { return vmware_equiv_bytes_; }
 
-  // Cost accounting (Figure 6's split).
-  double exec_seconds() const { return exec_seconds_; }
-  double record_seconds() const { return record_seconds_; }
-  double crypto_seconds() const { return transport_->crypto_seconds(); }
-  double snapshot_seconds() const { return snapshot_mgr_.snapshot_seconds(); }
-
  private:
   void RecordEvent(TraceEvent e);
   void DeliverPendingRx(Machine& m);
@@ -144,6 +139,7 @@ class Avmm : public DeviceBackend {
   SnapshotStore snapshot_store_;
   SnapshotManager snapshot_mgr_;
   Prng rng_;
+  obs::RecordLedger ledger_;  // This node's Figure 6 cost split.
 
   std::vector<NodeId> peers_;
   std::deque<std::pair<uint32_t, Bytes>> input_queue_;  // (code, attestation)
@@ -168,12 +164,10 @@ class Avmm : public DeviceBackend {
   Bytes console_output_;
   std::vector<uint32_t> debug_values_;
   uint64_t vmware_equiv_bytes_ = 0;
-  double exec_seconds_ = 0;
-  double record_seconds_ = 0;
 
-  // Publishes stats_ and the Figure-6 cost split into the obs registry
-  // as callback gauges; stats_ stays the compatibility view. Last so
-  // the callbacks unregister first on destruction.
+  // Publishes stats_ into the obs registry as callback gauges; stats_
+  // stays the compatibility view. Last so the callbacks unregister
+  // first on destruction.
   void RegisterObsMetrics();
   std::vector<obs::Registry::CallbackHandle> obs_handles_;
 };

@@ -163,7 +163,6 @@ uint64_t SnapshotStore::TransferBytesUpTo(uint64_t snapshot_id) const {
 }
 
 SnapshotMeta SnapshotManager::Take(Machine& m, SimTime sim_time) {
-  WallTimer timer;
   SnapshotDelta delta;
   delta.meta.snapshot_id = next_id_++;
   delta.meta.icount = m.cpu().icount;
@@ -184,7 +183,6 @@ SnapshotMeta SnapshotManager::Take(Machine& m, SimTime sim_time) {
 
   SnapshotMeta meta = delta.meta;
   store_->Add(std::move(delta));
-  snapshot_seconds_ += timer.ElapsedSeconds();
   return meta;
 }
 

@@ -101,14 +101,9 @@ class SnapshotManager {
   // machine's dirty-page tracking.
   SnapshotMeta Take(Machine& m, SimTime sim_time);
 
-  uint64_t next_id() const { return next_id_; }
-  // Cumulative wall-clock seconds spent taking snapshots.
-  double snapshot_seconds() const { return snapshot_seconds_; }
-
  private:
   SnapshotStore* store_;
   uint64_t next_id_ = 0;
-  double snapshot_seconds_ = 0;
 };
 
 }  // namespace avm

@@ -6,6 +6,8 @@
 
 namespace avm {
 
+using enum obs::RecordPhase;  // The ledger phases timed below: kSign, kVerify, kLogAppend.
+
 Transport::Transport(NodeId id, const RunConfig* cfg, TamperEvidentLog* log, const Signer* signer,
                      SimNetwork* net, const KeyRegistry* registry, AuthenticatorStore* auth_store)
     : id_(std::move(id)),
@@ -14,7 +16,8 @@ Transport::Transport(NodeId id, const RunConfig* cfg, TamperEvidentLog* log, con
       signer_(signer),
       net_(net),
       registry_(registry),
-      auth_store_(auth_store) {
+      auth_store_(auth_store),
+      ledger_(id_) {
   if (cfg_->BatchedSigning() && cfg_->sign_mode == SignMode::kAsync && signer_ != nullptr) {
     sign_pipeline_ = std::make_unique<AsyncSignPipeline>(id_, signer_);
   }
@@ -44,12 +47,6 @@ void Transport::RegisterObsMetrics() {
   pub("transport_durable_forced_flushes", &stats_.durable_forced_flushes);
   pub("transport_max_released_auth_seq", &stats_.max_released_auth_seq);
   pub("transport_durable_gate_violations", &stats_.durable_gate_violations);
-  obs_handles_.push_back(reg.RegisterCallbackGauge("transport_crypto_ms", ls, [this] {
-    return static_cast<int64_t>(crypto_seconds_ * 1e3);
-  }));
-  obs_handles_.push_back(reg.RegisterCallbackGauge("transport_logging_ms", ls, [this] {
-    return static_cast<int64_t>(logging_seconds_ * 1e3);
-  }));
 }
 
 void Transport::Violation(const std::string& what) {
@@ -77,19 +74,13 @@ void Transport::SendPacket(SimTime now, const NodeId& dst, Bytes payload) {
   }
   Bytes rec_bytes = rec.Serialize();
 
-  WallTimer crypto_timer;
-  Bytes payload_sig = signer_->Sign(rec_bytes);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
+  Bytes payload_sig = ledger_.Time(kSign, [&] { return signer_->Sign(rec_bytes); });
 
   Bytes content = MessageEntryContent(rec, payload_sig);
-  WallTimer log_timer;
   Hash256 prev = log_->LastHash();
-  log_->Append(EntryType::kSend, content);
-  logging_seconds_ += log_timer.ElapsedSeconds();
+  ledger_.Time(kLogAppend, [&] { log_->Append(EntryType::kSend, content); });
 
-  crypto_timer.Reset();
-  Authenticator auth = log_->Authenticate(*signer_);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
+  Authenticator auth = ledger_.Time(kSign, [&] { return log_->Authenticate(*signer_); });
 
   DataFrame frame{std::move(rec), std::move(payload_sig), prev, std::move(auth)};
   uint64_t auth_seq = frame.auth.seq;
@@ -221,10 +212,7 @@ void Transport::HandleData(SimTime now, const NodeId& src, ByteView body) {
   // 1. The payload signature proves the message originated at src
   //    (detects forged messages injected by an intermediary).
   Bytes rec_bytes = f.msg.Serialize();
-  WallTimer crypto_timer;
-  bool sig_ok = registry_->Verify(src, rec_bytes, f.payload_sig);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
-  if (!sig_ok) {
+  if (!ledger_.Time(kVerify, [&] { return registry_->Verify(src, rec_bytes, f.payload_sig); })) {
     Violation("payload signature invalid from " + src);
     return;
   }
@@ -239,10 +227,7 @@ void Transport::HandleData(SimTime now, const NodeId& src, ByteView body) {
   }
   // Add() verifies the signature and stores nothing if it is bad: the
   // one check of this authenticator.
-  crypto_timer.Reset();
-  bool auth_ok = auth_store_->Add(f.auth, *registry_);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
-  if (!auth_ok) {
+  if (!ledger_.Time(kVerify, [&] { return auth_store_->Add(f.auth, *registry_); })) {
     Violation("sender authenticator signature invalid from " + src);
     return;
   }
@@ -263,14 +248,10 @@ void Transport::HandleData(SimTime now, const NodeId& src, ByteView body) {
 
   // 3. Log RECV(m) (signature included, §4.3) and acknowledge with our
   //    own authenticator so the sender can verify we logged it.
-  WallTimer log_timer;
   Hash256 prev = log_->LastHash();
-  log_->Append(EntryType::kRecv, content);
-  logging_seconds_ += log_timer.ElapsedSeconds();
+  ledger_.Time(kLogAppend, [&] { log_->Append(EntryType::kRecv, content); });
 
-  crypto_timer.Reset();
-  Authenticator my_auth = log_->Authenticate(*signer_);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
+  Authenticator my_auth = ledger_.Time(kSign, [&] { return log_->Authenticate(*signer_); });
 
   AckFrame ack{id_, src, f.msg.msg_id, Sha256::Digest(content), prev, std::move(my_auth)};
   uint64_t auth_seq = ack.auth.seq;
@@ -324,17 +305,12 @@ void Transport::HandleAck(SimTime now, const NodeId& src, ByteView body) {
     Violation("ack authenticator does not commit to RECV(m) from " + src);
     return;
   }
-  WallTimer crypto_timer;
-  bool auth_ok = auth_store_->Add(ack.auth, *registry_);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
-  if (!auth_ok) {
+  if (!ledger_.Time(kVerify, [&] { return auth_store_->Add(ack.auth, *registry_); })) {
     Violation("ack authenticator signature invalid from " + src);
     return;
   }
 
-  WallTimer log_timer;
-  log_->Append(EntryType::kAck, ack.Serialize());
-  logging_seconds_ += log_timer.ElapsedSeconds();
+  ledger_.Time(kLogAppend, [&] { log_->Append(EntryType::kAck, ack.Serialize()); });
 
   stats_.acks_received++;
   unacked_.erase(it);
@@ -439,9 +415,7 @@ void Transport::RequestCommit(uint64_t seq) {
     sign_pipeline_->Enqueue(seq, log_->At(seq).hash);
     return;
   }
-  WallTimer crypto_timer;
-  Authenticator a = log_->AuthenticateAt(*signer_, seq);
-  crypto_seconds_ += crypto_timer.ElapsedSeconds();
+  Authenticator a = ledger_.Time(kSign, [&] { return log_->AuthenticateAt(*signer_, seq); });
   stats_.batch_commits_signed++;
   IntegrateCommit(std::move(a));
 }
@@ -594,10 +568,7 @@ bool Transport::ApplyChainTail(const NodeId& src, const ChainTail& tail, uint64_
                 std::to_string(tail.commit.seq));
       return false;
     }
-    WallTimer crypto_timer;
-    bool ok = auth_store_->Add(tail.commit, *registry_);
-    crypto_seconds_ += crypto_timer.ElapsedSeconds();
-    if (!ok) {
+    if (!ledger_.Time(kVerify, [&] { return auth_store_->Add(tail.commit, *registry_); })) {
       Violation("batch commitment signature invalid from " + src);
       return false;
     }
@@ -614,9 +585,7 @@ bool Transport::ApplyChainTail(const NodeId& src, const ChainTail& tail, uint64_
       rec.batch.links.push_back(it->second);
     }
     rec.batch.commit = tail.commit;
-    WallTimer log_timer;
-    log_->Append(EntryType::kInfo, rec.Serialize());
-    logging_seconds_ += log_timer.ElapsedSeconds();
+    ledger_.Time(kLogAppend, [&] { log_->Append(EntryType::kInfo, rec.Serialize()); });
 
     v.verified_seq = tail.commit.seq;
     v.verified_hash = tail.commit.hash;
@@ -631,9 +600,7 @@ void Transport::SendPacketBatched(SimTime now, const NodeId& dst, MessageRecord 
   // No per-message RSA: the SEND entry is committed by the hash chain
   // and sealed by the next windowed signature.
   Bytes content = MessageEntryContent(rec, Bytes());
-  WallTimer log_timer;
-  log_->Append(EntryType::kSend, content);
-  logging_seconds_ += log_timer.ElapsedSeconds();
+  ledger_.Time(kLogAppend, [&] { log_->Append(EntryType::kSend, content); });
   MaybeCloseWindow();
   PumpAsync();
 
@@ -689,10 +656,8 @@ void Transport::HandleBatchData(SimTime now, const NodeId& src, ByteView body) {
 
   // Log RECV(m) and acknowledge. The ack's authenticator is our derived
   // chain state, unsigned -- our next windowed commitment covers it.
-  WallTimer log_timer;
   Hash256 prev = log_->LastHash();
-  log_->Append(EntryType::kRecv, content);
-  logging_seconds_ += log_timer.ElapsedSeconds();
+  ledger_.Time(kLogAppend, [&] { log_->Append(EntryType::kRecv, content); });
   MaybeCloseWindow();
   PumpAsync();
 
@@ -758,9 +723,7 @@ void Transport::HandleBatchAck(SimTime now, const NodeId& src, ByteView body) {
     return;
   }
 
-  WallTimer log_timer;
-  log_->Append(EntryType::kAck, ack.Serialize());
-  logging_seconds_ += log_timer.ElapsedSeconds();
+  ledger_.Time(kLogAppend, [&] { log_->Append(EntryType::kAck, ack.Serialize()); });
   MaybeCloseWindow();
   PumpAsync();
 

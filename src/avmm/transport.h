@@ -41,6 +41,7 @@
 #include "src/avmm/message.h"
 #include "src/net/network.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/tel/batch.h"
 #include "src/tel/log.h"
 #include "src/tel/verifier.h"
@@ -120,11 +121,6 @@ class Transport : public NetworkDelegate {
   const Stats& stats() const { return stats_; }
   // First-failure descriptions, for tests and diagnostics.
   const std::vector<std::string>& violations() const { return violations_; }
-
-  // Wall-clock seconds spent in signing/verification and in log writes
-  // (the Figure 6 cost split).
-  double crypto_seconds() const { return crypto_seconds_; }
-  double logging_seconds() const { return logging_seconds_; }
 
   const NodeId& id() const { return id_; }
 
@@ -213,6 +209,7 @@ class Transport : public NetworkDelegate {
   SimNetwork* net_;
   const KeyRegistry* registry_;
   AuthenticatorStore* auth_store_;
+  obs::RecordLedger ledger_;  // Sign, verify and log-append time (Figure 6).
 
   PacketHandler packet_handler_;
   ChallengeHandler challenge_handler_;
@@ -242,8 +239,6 @@ class Transport : public NetworkDelegate {
 
   Stats stats_;
   std::vector<std::string> violations_;
-  double crypto_seconds_ = 0;
-  double logging_seconds_ = 0;
 
   // Publishes stats_ into the obs registry as callback gauges (the
   // struct stays the per-instance compatibility view). Declared last so

@@ -136,27 +136,51 @@ bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void SetEnabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 uint64_t NowMicros() {
-  using Clock = std::chrono::steady_clock;
-  static const Clock::time_point epoch = Clock::now();
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - epoch).count());
+  static const uint64_t epoch = SteadyNanos();
+  return (SteadyNanos() - epoch) / 1000;
 }
 
 Span::Span(const char* phase, const char* cat)
-    : phase_(phase), cat_(cat), active_(Enabled()) {
-  if (active_) {
-    start_us_ = NowMicros();
+    : phase_(phase), cat_(cat), start_ns_(SteadyNanos()), recorded_(Enabled()) {}
+
+double Span::End() {
+  if (!open_) {
+    return 0.0;
+  }
+  open_ = false;
+  const uint64_t dur_ns = SteadyNanos() - start_ns_;
+  if (recorded_) {
+    const uint64_t dur_us = dur_ns / 1000;
+    TraceLog::Get().RecordSpanEnd(phase_, cat_, NowMicros() - dur_us, dur_us);
+  }
+  return static_cast<double>(dur_ns) / 1e9;
+}
+
+LedgerTotals LedgerTotals::operator-(const LedgerTotals& o) const {
+  LedgerTotals d;
+  for (size_t i = 0; i < kNumRecordPhases; i++) {
+    d.ns[i] = ns[i] - o.ns[i];
+    d.count[i] = count[i] - o.count[i];
+  }
+  return d;
+}
+
+RecordLedger::RecordLedger(const std::string& node) {
+  Registry& reg = Registry::Global();
+  for (size_t i = 0; i < kNumRecordPhases; i++) {
+    const Labels labels{{"node", node}, {"phase", kRecordPhaseNames[i]}};
+    ns_[i] = reg.GetGauge("record_ns", labels);
+    count_[i] = reg.GetGauge("record_count", labels);
   }
 }
 
-double Span::End() {
-  if (!active_) {
-    return 0.0;
+LedgerTotals RecordLedger::Totals() const {
+  LedgerTotals t;
+  for (size_t i = 0; i < kNumRecordPhases; i++) {
+    t.ns[i] = static_cast<uint64_t>(ns_[i]->Value());
+    t.count[i] = static_cast<uint64_t>(count_[i]->Value());
   }
-  active_ = false;
-  const uint64_t dur = NowMicros() - start_us_;
-  TraceLog::Get().RecordSpanEnd(phase_, cat_, start_us_, dur);
-  return static_cast<double>(dur) / 1e6;
+  return t;
 }
 
 double PhaseSeconds(const std::string& phase) {

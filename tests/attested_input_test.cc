@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/audit/evidence.h"
 #include "src/avmm/attested_input.h"
 #include "src/sim/scenario.h"
 
@@ -82,6 +83,14 @@ TEST(AttestedInputAudit, CatchesTheForgedInputAimbot) {
   EXPECT_FALSE(cheater.ok);
   EXPECT_NE(cheater.syntactic.reason.find("attestation"), std::string::npos)
       << cheater.Describe();
+
+  // A third party holding the registry (which certifies the player's
+  // input device) confirms the fault from the evidence alone.
+  ASSERT_TRUE(cheater.evidence.has_value());
+  Evidence wire = Evidence::Deserialize(cheater.evidence->Serialize());
+  EvidenceVerdict verdict = VerifyEvidence(wire, game.registry(), game.reference_client_image());
+  EXPECT_TRUE(verdict.fault_confirmed) << verdict.detail;
+  EXPECT_NE(verdict.detail.find("attestation"), std::string::npos) << verdict.detail;
 
   AuditOutcome honest = game.AuditPlayer(1);
   EXPECT_TRUE(honest.ok) << honest.Describe();

@@ -6,6 +6,7 @@
 // off vs. on.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -248,16 +249,87 @@ TEST(ObsTrace, SpansFeedAggregatesAndRegistry) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 }
 
-TEST(ObsTrace, DisabledSpansCostNothingAndEmitNothing) {
+TEST(ObsTrace, DisabledSpansTimeButEmitNothing) {
   ObsGateGuard guard;
   obs::SetEnabled(false);
   obs::ResetTrace();
   {
     obs::Span span(obs::kPhaseAuditReplay, "audit");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // The duration is measured with telemetry off (AuditOutcome's phase
+    // seconds come from it); End() is idempotent.
+    EXPECT_GE(span.End(), 0.002);
     EXPECT_EQ(span.End(), 0.0);
   }
   EXPECT_EQ(obs::TraceEventCount(), 0u);
   EXPECT_EQ(obs::PhaseCount(obs::kPhaseAuditReplay), 0u);
+}
+
+// The record-path ledger charges self time: a region nested in another
+// on the same thread is subtracted from the outer region, whichever
+// node's entry the inner region belongs to.
+TEST(ObsLedger, NestedRegionIsSubtractedFromOuterSelfTime) {
+  obs::RecordLedger a("obs_test.a");
+  obs::RecordLedger b("obs_test.b");
+  const obs::LedgerTotals a0 = a.Totals();
+  const obs::LedgerTotals b0 = b.Totals();
+  constexpr auto kInner = std::chrono::milliseconds(30);
+  const int got = a.Time(obs::RecordPhase::kExec, [&] {
+    a.Time(obs::RecordPhase::kSign, [&] { std::this_thread::sleep_for(kInner); });
+    obs::LedgerTimer other_node(&b, obs::RecordPhase::kVerify);
+    std::this_thread::sleep_for(kInner);
+    return 7;
+  });
+  EXPECT_EQ(got, 7);  // Time() hands back the region's result.
+  const obs::LedgerTotals da = a.Totals() - a0;
+  const obs::LedgerTotals db = b.Totals() - b0;
+  // Ledgers built for the same node share its registry cells.
+  EXPECT_EQ(obs::RecordLedger("obs_test.a").Totals().ns, a.Totals().ns);
+  EXPECT_EQ(da.Count(obs::RecordPhase::kExec), 1u);
+  EXPECT_EQ(da.Count(obs::RecordPhase::kSign), 1u);
+  EXPECT_EQ(db.Count(obs::RecordPhase::kVerify), 1u);
+  EXPECT_GE(da.Seconds(obs::RecordPhase::kSign), 0.030);
+  EXPECT_GE(db.Seconds(obs::RecordPhase::kVerify), 0.030);
+  // Inclusive, the outer region spans both 30 ms sleeps; its self time
+  // is only the few instructions around them.
+  EXPECT_LT(da.Seconds(obs::RecordPhase::kExec), 0.030);
+}
+
+// On a real recording, every phase is charged once: the per-node self
+// times of the whole run sum to no more than its wall time, and the
+// ledger travels in the registry's exports.
+TEST(ObsLedger, RecordPathPhasesSumWithinWallTime) {
+  GameScenarioConfig cfg;
+  cfg.run = RunConfig::AvmmRsa768();
+  cfg.num_players = 2;
+  cfg.seed = 78;
+  GameScenario game(cfg);
+  game.Start();
+  const std::vector<std::string> nodes = {"server", "player1", "player2"};
+  std::vector<obs::LedgerTotals> before;
+  for (const std::string& n : nodes) {
+    before.push_back(obs::RecordLedger(n).Totals());
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  game.RunFor(kMicrosPerSecond);
+  game.Finish();
+  const double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  double charged = 0;
+  for (size_t i = 0; i < nodes.size(); i++) {
+    const obs::LedgerTotals d = obs::RecordLedger(nodes[i]).Totals() - before[i];
+    EXPECT_GT(d.Count(obs::RecordPhase::kExec), 0u) << nodes[i];
+    EXPECT_GT(d.Count(obs::RecordPhase::kTrace), 0u) << nodes[i];
+    EXPECT_GT(d.Count(obs::RecordPhase::kSign), 0u) << nodes[i];
+    EXPECT_GT(d.Count(obs::RecordPhase::kVerify), 0u) << nodes[i];
+    EXPECT_GT(d.Count(obs::RecordPhase::kLogAppend), 0u) << nodes[i];
+    EXPECT_GT(d.Count(obs::RecordPhase::kSnapshot), 0u) << nodes[i];
+    for (size_t p = 0; p < obs::kNumRecordPhases; p++) {
+      charged += d.Seconds(static_cast<obs::RecordPhase>(p));
+    }
+  }
+  EXPECT_LE(charged, wall);
+  const std::string prom = obs::PrometheusText(obs::Registry::Global().Snapshot());
+  EXPECT_NE(prom.find("avm_record_ns{node=\"server\",phase=\"exec\"}"), std::string::npos);
 }
 
 TEST(ObsTrace, TimeSectionMeasuresEvenWhenDisabled) {

@@ -154,6 +154,31 @@ TEST_F(KvFixture, SpotCheckEvidenceVerifiesForThirdParty) {
   EXPECT_TRUE(verdict.fault_confirmed) << verdict.detail;
 }
 
+// Accuracy (§4.7) for window evidence: a protocol-violation claim about
+// an authentic window of an honest server's log must never verify. A
+// window's first DMA deliveries can match RECVs logged before it, so the
+// third party may hold only a from-genesis segment to the strict
+// message cross-reference, exactly as the auditor does.
+TEST_F(KvFixture, WindowEvidenceNeverConvictsHonestServer) {
+  Run(2 * kMicrosPerSecond);
+  const Avmm& server = scenario->server();
+  int windows = 0;
+  for (uint64_t f = 2; f + 400 <= server.log().LastSeq() && windows < 21; f += 97) {
+    Evidence ev;
+    ev.kind = EvidenceKind::kProtocolViolation;
+    ev.accused = server.id();
+    ev.claim = "window [" + std::to_string(f) + ", " + std::to_string(f + 400) + "]";
+    ev.segment = server.log().Extract(f, f + 400).Serialize();
+    ev.auths.push_back(server.CommitLogAt(f + 400).Serialize());
+    ev.mem_size = server.config().mem_size;
+    EvidenceVerdict verdict =
+        VerifyEvidence(ev, scenario->registry(), scenario->reference_server_image());
+    EXPECT_FALSE(verdict.fault_confirmed) << ev.claim << ": " << verdict.detail;
+    windows++;
+  }
+  EXPECT_EQ(windows, 21);
+}
+
 TEST_F(KvFixture, TransferBytesGrowWithStartSnapshot) {
   Run(3 * kMicrosPerSecond);
   const SnapshotStore& store = scenario->server().snapshot_store();

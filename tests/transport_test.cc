@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/avmm/transport.h"
+#include "src/obs/trace.h"
 
 namespace avm {
 namespace {
@@ -230,11 +231,17 @@ struct TransportRsaFixture : public TransportFixture {
 };
 
 TEST_F(TransportRsaFixture, SignedRoundTrip) {
+  const obs::LedgerTotals before = obs::RecordLedger("alice").Totals();
   alice->SendPacket(0, "bob", ToBytes("signed hello"));
   Settle(kMicrosPerSecond);
   ASSERT_EQ(bob_received.size(), 1u);
   EXPECT_EQ(alice->stats().acks_received, 1u);
-  EXPECT_GT(alice->crypto_seconds(), 0.0);
+  // Alice's record-path ledger: payload signature + authenticator, then
+  // one verify of Bob's ack authenticator.
+  const obs::LedgerTotals spent = obs::RecordLedger("alice").Totals() - before;
+  EXPECT_EQ(spent.Count(obs::RecordPhase::kSign), 2u);
+  EXPECT_EQ(spent.Count(obs::RecordPhase::kVerify), 1u);
+  EXPECT_GT(spent.Seconds(obs::RecordPhase::kSign), 0.0);
   EXPECT_EQ(bob->stats().verify_failures, 0u);
 }
 
